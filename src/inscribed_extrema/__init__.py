@@ -85,71 +85,9 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstraintViolated",
-    "DEFAULT_TOLERANCES",
-    "DegenerateParallelepiped",
-    "DegenerateVertex",
-    "DimensionMismatch",
-    "DimensionTooSmall",
-    "Ellipsoid",
-    "EqualizationReport",
-    "ExtremalCertificate",
-    "FunctionalValue",
-    "InscribedExtremaError",
-    "InscribedReport",
-    "NonPositiveInput",
-    "NotConverged",
-    "NotEigenvector",
-    "NotInscribed",
-    "NotOnBoundary",
-    "NotOrthotope",
-    "NotPositiveDefinite",
-    "NotRowConstant",
-    "Parallelepiped",
-    "RotationTriple",
-    "RshReport",
-    "SearchReport",
-    "SingularGram",
-    "SphereOrthotope",
-    "TangentNormalsDump",
-    "ToleranceConfig",
-    "UnsupportedCase",
-    "VertexConstraint",
-    "WrongDimension",
-    "all_plus_vertex",
-    "barycentric_basis",
-    "beta_product_sum",
-    "bound_L_max",
-    "bound_S_max",
-    "construct_L_max",
-    "construct_S_max",
-    "construct_through_vertex",
-    "construct_vertex_2d",
-    "construct_vertex_eigen_L",
-    "construct_vertex_eigen_S",
-    "diag_quadratic",
-    "edge_length_total",
-    "equalize_diagonal",
-    "equalize_diagonal_barycentric",
-    "explore_restricted_schur_horn",
-    "facet_area_total_factored",
-    "facet_area_total_gram",
-    "householder_to",
-    "is_inscribed",
-    "maclaurin_gap",
-    "orthotope_to_parallelepiped",
-    "parallelepiped_to_orthotope",
-    "phi",
-    "phi_max",
-    "planar_identity_check",
-    "random_orthogonal",
-    "random_search_global",
-    "random_search_vertex",
-    "rotation_about_ones_axis",
-    "sign_vectors",
-    "stationarity_check",
-    "tangent_normals_dump",
-    "vertex_lambdas",
-    "vertices",
-]
+# every name imported above from a submodule; the submodules themselves are
+# not exported
+__all__ = sorted(
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(__name__ + ".")
+)

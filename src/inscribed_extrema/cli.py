@@ -3,7 +3,9 @@
 JSON in, JSON out. Matrices are {"n": int, "data": [[row], ...]}, vectors
 {"n": int, "data": [...]}, parallelepipeds {"n": int, "edges": [[edge], ...]}.
 Every result carries a run manifest (input hashes, seed, tolerances,
-version) so a run can be reproduced byte for byte.
+version) so a run can be reproduced byte for byte. Tolerance flags default
+to config.DEFAULT_TOLERANCES. Input entries must be finite, and output is
+strict JSON (no NaN or Infinity).
 
 Exit codes: 0 success, 1 validation error, 2 not converged / unsupported
 case, 3 bound violation found by a search.
@@ -19,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .config import ToleranceConfig
+from .config import DEFAULT_TOLERANCES
 from .constructors import (
     construct_L_max,
     construct_S_max,
@@ -27,7 +29,12 @@ from .constructors import (
 )
 from .equalizer import equalize_diagonal, equalize_diagonal_barycentric
 from .errors import InscribedExtremaError, NotConverged, UnsupportedCase
-from .functionals import bound_L_max, bound_S_max, facet_area_total_gram
+from .functionals import (
+    bound_L_max,
+    bound_S_max,
+    edge_length_total_edges,
+    facet_area_total_gram,
+)
 from .geometry import Ellipsoid, Parallelepiped, is_inscribed, orthotope_to_parallelepiped
 from .oracle import (
     explore_restricted_schur_horn,
@@ -38,6 +45,13 @@ from .oracle import (
 SCHEMA = "inscribed-extrema/1"
 SYMMETRY_REL_TOL = 1e-12
 FUNCTIONAL_NAMES = {"edge": "edge_length", "facet": "facet_area"}
+# flag -> ToleranceConfig field; the field is also the argparse dest and the
+# manifest key, so the manifest records exactly the tolerances a run applied
+TOLERANCE_FLAGS = {
+    "--tol-inscribed": "inscribed_tol",
+    "--tol-equalizer": "equalizer_tol",
+    "--tol-bound-slack": "bound_slack",
+}
 
 
 class CliError(Exception):
@@ -62,13 +76,21 @@ def _read_json(path):
         raise CliError(f"cannot parse {path}: {exc}")
 
 
-def _load_matrix(path):
+def _load_array(path, key, layout):
+    """(n, doc[key]) from a {"n": int, key: layout} file; entries must be finite."""
     doc = _read_json(path)
     try:
         n = int(doc["n"])
-        a = np.asarray(doc["data"], dtype=float)
+        a = np.asarray(doc[key], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path}: expected {{'n': int, 'data': [[...]]}} ({exc})")
+        raise CliError(f"{path}: expected {{'n': int, '{key}': {layout}}} ({exc})")
+    if not np.all(np.isfinite(a)):
+        raise CliError(f"{path}: entries must be finite numbers")
+    return n, a
+
+
+def _load_matrix(path):
+    n, a = _load_array(path, "data", "[[...]]")
     if a.shape != (n, n):
         raise CliError(f"{path}: data shape {a.shape} does not match n={n}")
     scale = max(float(np.max(np.abs(a))), 1.0)
@@ -78,40 +100,27 @@ def _load_matrix(path):
 
 
 def _load_vector(path):
-    doc = _read_json(path)
-    try:
-        n = int(doc["n"])
-        v = np.asarray(doc["data"], dtype=float).ravel()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path}: expected {{'n': int, 'data': [...]}} ({exc})")
+    n, v = _load_array(path, "data", "[...]")
+    v = v.ravel()
     if v.size != n:
         raise CliError(f"{path}: vector length {v.size} does not match n={n}")
     return v
 
 
-def _tolerances(args):
-    return ToleranceConfig(
-        ortho_tol=args.tol_ortho,
-        inscribed_tol=args.tol_inscribed,
-        equalizer_tol=args.tol_equalizer,
-        bound_slack=args.tol_bound_slack,
-    )
+def _load_parallelepiped(path):
+    n, v = _load_array(path, "edges", "[[...]]")
+    return Parallelepiped.from_dict({"n": n, "edges": v})
 
 
-def _manifest(args, inputs):
-    tols = _tolerances(args)
+def _manifest(args):
+    paths = {name: getattr(args, name, None) for name in ("matrix", "vertex", "parallelepiped")}
     return {
         "command": args.command,
         "inputs": {
-            name: {"path": path, "sha256": _sha256(path)} for name, path in inputs.items()
+            name: {"path": path, "sha256": _sha256(path)} for name, path in paths.items() if path
         },
         "seed": getattr(args, "seed", None),
-        "tolerances": {
-            "ortho_tol": tols.ortho_tol,
-            "inscribed_tol": tols.inscribed_tol,
-            "equalizer_tol": tols.equalizer_tol,
-            "bound_slack": tols.bound_slack,
-        },
+        "tolerances": {key: getattr(args, key) for key in TOLERANCE_FLAGS.values()},
         "version": __version__,
     }
 
@@ -129,94 +138,85 @@ def _write_atomic(path, text):
         raise
 
 
-def _emit(args, manifest, result, error=None):
-    payload = {"schema": SCHEMA, "manifest": manifest}
+def _emit(args, result, error):
+    payload = {"schema": SCHEMA, "manifest": _manifest(args)}
     if error is not None:
         payload["error"] = error
     payload["result"] = result
-    text = json.dumps(payload, indent=2)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise CliError(f"result is not finite, refusing to emit it ({exc})")
     if args.output:
         _write_atomic(args.output, text)
     else:
         print(text)
 
 
-def _check_ci_seed(args):
-    if os.environ.get("INSCRIBED_EXTREMA_CI") == "1" and getattr(args, "seed", 0) is None:
+def _seed(args):
+    """The run's seed, 0 when omitted; CI mode refuses to default it."""
+    if args.seed is not None:
+        return args.seed
+    if os.environ.get("INSCRIBED_EXTREMA_CI") == "1":
         raise CliError("--seed is required in CI mode (INSCRIBED_EXTREMA_CI=1)")
+    return 0
 
 
-def _effective_seed(args):
-    return 0 if args.seed is None else args.seed
+def _refused(exc, result):
+    """Exit 2: the best attempt is reported alongside the reason."""
+    return 2, result, {"type": type(exc).__name__, "message": str(exc)}
+
+
+# Each command returns (exit code, result, error); main() adds the manifest.
 
 
 def _cmd_bounds(args):
-    a = _load_matrix(args.matrix)
-    e = Ellipsoid(a)
-    manifest = _manifest(args, {"matrix": args.matrix})
-    result = {
+    e = Ellipsoid(_load_matrix(args.matrix))
+    return 0, {
         "n": e.n,
         "L_max": bound_L_max(e),
         "S_max": bound_S_max(e),
         "tr_A": float(np.trace(e.A)),
         "tr_C": float(np.trace(e.C)),
         "det_A": float(np.prod(e.eigenvalues)),
-    }
-    _emit(args, manifest, result)
-    return 0
+    }, None
 
 
 def _cmd_construct(args):
-    _check_ci_seed(args)
-    a = _load_matrix(args.matrix)
-    e = Ellipsoid(a)
+    seed = _seed(args)
+    e = Ellipsoid(_load_matrix(args.matrix))
     functional = FUNCTIONAL_NAMES[args.functional]
-    seed = _effective_seed(args)
-    inputs = {"matrix": args.matrix}
-    if args.vertex:
-        inputs["vertex"] = args.vertex
-    manifest = _manifest(args, inputs)
     try:
         if args.vertex:
             x0 = _load_vector(args.vertex)
             q, cert = construct_through_vertex(
-                e, x0, functional=functional, tol=args.tol_equalizer, seed=seed
+                e, x0, functional=functional, tol=args.equalizer_tol, seed=seed
             )
         elif functional == "edge_length":
             q, cert = construct_L_max(e, seed=seed)
         else:
             q, cert = construct_S_max(e)
     except NotConverged as exc:
-        report = exc.report.to_dict() if exc.report is not None else None
-        _emit(
-            args, manifest, {"equalization": report},
-            error={"type": "NotConverged", "message": str(exc)},
-        )
-        return 2
+        return _refused(exc, {"equalization": exc.report and exc.report.to_dict()})
     except UnsupportedCase as exc:
-        _emit(args, manifest, None, error={"type": "UnsupportedCase", "message": str(exc)})
-        return 2
+        return _refused(exc, None)
     p = orthotope_to_parallelepiped(e, q)
-    result = {
+    return 0, {
         "orthotope": q.to_dict(),
         "parallelepiped": p.to_dict(),
         "certificate": cert.to_dict(),
-    }
-    _emit(args, manifest, result)
-    return 0
+    }, None
 
 
 def _cmd_verify(args):
-    a = _load_matrix(args.matrix)
-    e = Ellipsoid(a)
-    p = Parallelepiped.from_dict(_read_json(args.parallelepiped))
-    manifest = _manifest(args, {"matrix": args.matrix, "parallelepiped": args.parallelepiped})
-    rep = is_inscribed(e, p, tol=args.tol_inscribed)
-    edge_total = 2.0 ** (e.n - 1) * float(np.sum(np.linalg.norm(p.V, axis=0)))
+    e = Ellipsoid(_load_matrix(args.matrix))
+    p = _load_parallelepiped(args.parallelepiped)
+    rep = is_inscribed(e, p, tol=args.inscribed_tol)
+    edge_total = edge_length_total_edges(p).value
     facet_total = facet_area_total_gram(p).value
     l_bound = bound_L_max(e)
     s_bound = bound_S_max(e)
-    result = {
+    return 0, {
         "inscribed": rep.inscribed,
         "max_vertex_residual": rep.max_residual,
         "L": edge_total,
@@ -225,84 +225,61 @@ def _cmd_verify(args):
         "S_bound": s_bound,
         "L_gap": (l_bound - edge_total) / l_bound,
         "S_gap": (s_bound - facet_total) / s_bound,
-    }
-    _emit(args, manifest, result)
-    return 0
+    }, None
 
 
 def _cmd_search(args):
-    _check_ci_seed(args)
+    seed = _seed(args)
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
-    a = _load_matrix(args.matrix)
-    e = Ellipsoid(a)
+    e = Ellipsoid(_load_matrix(args.matrix))
     functional = FUNCTIONAL_NAMES[args.functional]
-    seed = _effective_seed(args)
-    inputs = {"matrix": args.matrix}
-    if args.vertex:
-        inputs["vertex"] = args.vertex
-    manifest = _manifest(args, inputs)
     keep_trace = args.csv_trace is not None
     if args.vertex:
-        x0 = _load_vector(args.vertex)
         report = random_search_vertex(
-            e, x0, functional, args.trials, seed,
-            bound_slack=args.tol_bound_slack, keep_trace=keep_trace,
+            e, _load_vector(args.vertex), functional, args.trials, seed,
+            bound_slack=args.bound_slack, keep_trace=keep_trace,
         )
     else:
         report = random_search_global(
             e, functional, args.trials, seed,
-            bound_slack=args.tol_bound_slack, keep_trace=keep_trace,
+            bound_slack=args.bound_slack, keep_trace=keep_trace,
         )
     if keep_trace:
         lines = ["trial,value"]
         lines += [f"{i},{v!r}" for i, v in enumerate(report.trace)]
         _write_atomic(args.csv_trace, "\n".join(lines) + "\n")
-    _emit(args, manifest, report.to_dict())
-    return 3 if report.violations > 0 else 0
+    return 3 if report.violations > 0 else 0, report.to_dict(), None
 
 
 def _cmd_equalize(args):
-    _check_ci_seed(args)
+    seed = _seed(args)
     a = _load_matrix(args.matrix)
-    manifest = _manifest(args, {"matrix": args.matrix})
-    seed = _effective_seed(args)
-    if args.barycentric:
-        try:
-            rep = equalize_diagonal_barycentric(
-                a, tol=args.tol_equalizer, max_iter=args.max_iter, seed=seed
-            )
-        except NotConverged as exc:
-            _emit(
-                args, manifest, exc.report.to_dict() if exc.report else None,
-                error={"type": "NotConverged", "message": str(exc)},
-            )
-            return 2
-    else:
-        rep = equalize_diagonal(a, tol=args.tol_equalizer)
-    _emit(args, manifest, rep.to_dict())
-    return 0
+    if not args.barycentric:
+        return 0, equalize_diagonal(a, tol=args.equalizer_tol).to_dict(), None
+    try:
+        rep = equalize_diagonal_barycentric(
+            a, tol=args.equalizer_tol, max_iter=args.max_iter, seed=seed
+        )
+    except NotConverged as exc:
+        return _refused(exc, exc.report and exc.report.to_dict())
+    return 0, rep.to_dict(), None
 
 
 def _cmd_explore_rsh(args):
-    _check_ci_seed(args)
+    seed = _seed(args)
     a = _load_matrix(args.matrix)
     y0 = _load_vector(args.vertex)
-    manifest = _manifest(args, {"matrix": args.matrix, "vertex": args.vertex})
-    seed = _effective_seed(args)
     report = explore_restricted_schur_horn(
         a, y0, FUNCTIONAL_NAMES[args.functional],
         restarts=args.restarts, iters=args.iters, seed=seed,
     )
-    _emit(args, manifest, report.to_dict())
-    return 0
+    return 0, report.to_dict(), None
 
 
 def _add_tolerance_flags(sp):
-    sp.add_argument("--tol-ortho", type=float, default=1e-10)
-    sp.add_argument("--tol-inscribed", type=float, default=1e-9)
-    sp.add_argument("--tol-equalizer", type=float, default=1e-10)
-    sp.add_argument("--tol-bound-slack", type=float, default=1e-9)
+    for flag, key in TOLERANCE_FLAGS.items():
+        sp.add_argument(flag, dest=key, type=float, default=getattr(DEFAULT_TOLERANCES, key))
     sp.add_argument("--output", default=None, help="write JSON here (atomically) instead of stdout")
 
 
@@ -370,12 +347,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
-    except CliError as exc:
+        code, result, error = args.run(args)
+        _emit(args, result, error)
+        return code
+    except (CliError, InscribedExtremaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InscribedExtremaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failure: {exc}", file=sys.stderr)
         return 1
 
 

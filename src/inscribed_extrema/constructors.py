@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equalizer, functionals, geometry, linalg
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     DegenerateVertex,
     DimensionMismatch,
@@ -45,12 +46,6 @@ class VertexConstraint:
         y0 = e.Binv @ x0
         y0 = y0 / np.linalg.norm(y0)
         return cls(x0=x0, y0=y0)
-
-    def z(self, u):
-        return u.T @ self.y0
-
-    def beta(self, u):
-        return np.abs(self.z(u))
 
 
 @dataclass(frozen=True)
@@ -148,11 +143,6 @@ def vertex_lambdas(u, y0, degenerate_tol=1e-12):
     return u_fixed, 2.0 * np.abs(z)
 
 
-def _frame_2d(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def construct_vertex_2d(e, x0, functional="edge_length"):
     """Maximal-perimeter parallelogram through a prescribed boundary point.
 
@@ -168,49 +158,25 @@ def construct_vertex_2d(e, x0, functional="edge_length"):
     base = math.atan2(y0[1], y0[0]) + 0.25 * math.pi
 
     def f_value(theta):
-        u = _frame_2d(theta)
+        u = linalg.givens(2, 0, 1, theta)
         g = functionals.diag_quadratic(u, e.A)
         beta = np.abs(u.T @ y0)
         return math.atan(math.sqrt(g[0] / g[1])) - math.atan2(beta[0], beta[1])
 
     def solve(theta_lo):
-        theta_hi = theta_lo + 0.5 * math.pi
         f_lo = f_value(theta_lo)
-        f_hi = -f_lo  # antisymmetry under the quarter turn
-        if f_lo == 0.0:
-            return theta_lo
-        a, b = theta_lo, theta_hi
-        fa, fb = f_lo, f_hi
-        for _ in range(30):
-            mid = 0.5 * (a + b)
-            fm = f_value(mid)
-            if fm == 0.0:
-                return mid
-            if (fa < 0.0) != (fm < 0.0):
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        x, fx = b, fb
-        xp, fxp = a, fa
-        for _ in range(3):
-            if fx == fxp:
-                break
-            xn = x - fx * (x - xp) / (fx - fxp)
-            if not (theta_lo <= xn <= theta_hi):
-                xn = 0.5 * (x + xp)
-            xp, fxp = x, fx
-            x, fx = xn, f_value(xn)
-        return x
+        # antisymmetry under the quarter turn supplies the bracket
+        return linalg.bracketed_root(f_value, theta_lo, theta_lo + 0.5 * math.pi, f_lo, -f_lo)
 
     theta = solve(base)
-    z = _frame_2d(theta).T @ y0
+    z = linalg.givens(2, 0, 1, theta).T @ y0
     if float(np.min(np.abs(z))) < 1e-8:
         # degenerate root; shift the bracket and take the other orientation
         theta = solve(base + 1e-4)
-        z = _frame_2d(theta).T @ y0
+        z = linalg.givens(2, 0, 1, theta).T @ y0
         if float(np.min(np.abs(z))) < 1e-8:
             raise DegenerateVertex("both bisection roots give a vanishing edge")
-    u_fixed, lam = vertex_lambdas(_frame_2d(theta), y0)
+    u_fixed, lam = vertex_lambdas(linalg.givens(2, 0, 1, theta), y0)
     q = geometry.SphereOrthotope(u_fixed, lam)
     p = geometry.orthotope_to_parallelepiped(e, q)
     vertex_res = float(np.linalg.norm(geometry.all_plus_vertex(p) - vc.x0))
@@ -256,7 +222,7 @@ def _barycentric_pipeline(e, vc, m_matrix, tol, seed):
     return geometry.SphereOrthotope(u, lam), rep
 
 
-def construct_vertex_eigen_S(e, x0, tol=1e-10, seed=0):
+def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
     """Facet-area maximizer through an eigenvector boundary point.
 
     Feasible whenever the constrained equalizer converges (always for balls
@@ -283,16 +249,6 @@ def construct_vertex_eigen_S(e, x0, tol=1e-10, seed=0):
     return q, cert
 
 
-def _givens(n, i, j, theta):
-    g = np.eye(n)
-    c, s = math.cos(theta), math.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[j, i] = s
-    g[i, j] = -s
-    return g
-
-
 def _solve_restricted_l_3d(e, y0, seed, max_starts=60):
     """diag(U^T A U) = tr(A) (U^T y0)^2 solved directly for n = 3.
 
@@ -306,9 +262,8 @@ def _solve_restricted_l_3d(e, y0, seed, max_starts=60):
     target_tol = 1e-12 * (1.0 + tr_a)
 
     def frame(angles):
-        return _givens(3, 0, 1, angles[0]) @ _givens(3, 0, 2, angles[1]) @ _givens(
-            3, 1, 2, angles[2]
-        )
+        g = linalg.givens
+        return g(3, 0, 1, angles[0]) @ g(3, 0, 2, angles[1]) @ g(3, 1, 2, angles[2])
 
     def residual(angles):
         u = frame(angles)
@@ -353,7 +308,7 @@ def _solve_restricted_l_3d(e, y0, seed, max_starts=60):
     )
 
 
-def construct_vertex_eigen_L(e, x0, tol=1e-10, seed=0):
+def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
     """Edge-length maximizer through an eigenvector boundary point.
 
     For n >= 4 the barycentric equalizer route applies verbatim. For n = 3
@@ -367,17 +322,13 @@ def construct_vertex_eigen_L(e, x0, tol=1e-10, seed=0):
     vc = VertexConstraint.from_point(e, x0)
     _require_eigenvector(e, vc.y0)
     residuals = {}
-    q = None
-    if e.n >= 4:
-        q, rep = _barycentric_pipeline(e, vc, e.A, tol, seed)
-    else:
-        try:
-            q, rep = _barycentric_pipeline(e, vc, e.A, tol, seed)
-        except NotConverged:
-            u, rn = _solve_restricted_l_3d(e, vc.y0, seed)
-            u_fixed, lam = vertex_lambdas(u, vc.y0)
-            q = geometry.SphereOrthotope(u_fixed, lam)
-            residuals["solver"] = rn
+    try:
+        q, _ = _barycentric_pipeline(e, vc, e.A, tol, seed)
+    except NotConverged:
+        if e.n >= 4:
+            raise
+        u, residuals["solver"] = _solve_restricted_l_3d(e, vc.y0, seed)
+        q = geometry.SphereOrthotope(*vertex_lambdas(u, vc.y0))
     z = q.U.T @ vc.y0
     cond_res = float(
         np.linalg.norm(
@@ -391,7 +342,9 @@ def construct_vertex_eigen_L(e, x0, tol=1e-10, seed=0):
     return q, cert
 
 
-def construct_through_vertex(e, x0, functional="facet_area", tol=1e-10, seed=0):
+def construct_through_vertex(
+    e, x0, functional="facet_area", tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
+):
     """Route a vertex-constrained request to the case that can solve it.
 
     n=2 always works; for n >= 3 only eigenvector boundary points have a

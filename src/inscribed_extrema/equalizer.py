@@ -16,12 +16,13 @@ Two regimes:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import linalg
+from .config import DEFAULT_TOLERANCES
 from .errors import DimensionTooSmall, NotConverged, NotRowConstant
 
 TWO_PI = 2.0 * math.pi
@@ -125,7 +126,7 @@ def _random_stabilizer(n, rng):
     return h @ block @ h.T
 
 
-def _diag_after(b, theta):
+def diag_after(b, theta):
     """New (d_p, d_q, d_r) after rotating the symmetric 3x3 block b by theta.
 
     b = (wpp, wqq, wrr, wpq, wpr, wqr). Quadratic forms of the rotation's
@@ -182,13 +183,7 @@ def equalize_diagonal(m, tol=1e-12):
         radius = math.hypot(u, b)
         want = t - 0.5 * (a + c)
         two_theta = math.atan2(b, u) + math.acos(max(-1.0, min(1.0, want / radius)))
-        theta = 0.5 * two_theta
-        g = np.eye(n)
-        cs, sn = math.cos(theta), math.sin(theta)
-        g[p, p] = cs
-        g[q, q] = cs
-        g[q, p] = sn
-        g[p, q] = -sn
+        g = linalg.givens(n, p, q, 0.5 * two_theta)
         v = v @ g
         w = g.T @ w @ g
         active.remove(p)
@@ -206,7 +201,7 @@ def equalize_diagonal(m, tol=1e-12):
     )
 
 
-class _StabilizerState:
+class StabilizerState:
     """Bookkeeping for the constrained equalizer: V, W = V^T M V, counters."""
 
     def __init__(self, m, t):
@@ -242,12 +237,12 @@ class _StabilizerState:
         self._since_resync = 0
 
     def snapshot(self):
-        return (self.v.copy(), self.applied, self._since_resync)
+        return (self.v.copy(), self.applied)
 
     def restore(self, snap):
         # rolls the rotation counter back too: probes that get reverted
         # must not eat the budget
-        v, applied, _ = snap
+        v, applied = snap
         self.v = v.copy()
         self.applied = applied
         self.resync()
@@ -258,44 +253,14 @@ class _StabilizerState:
         self.resync()
 
 
-def _bisect_root(b6, lo, hi, f_lo, f_hi):
-    """Root of f(theta) = d_p(theta) - d_q(theta) inside a sign-change bracket."""
-
-    def f(theta):
-        dp, dq, _ = _diag_after(b6, theta)
-        return dp - dq
-
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    a, b = lo, hi
-    fa, fb = f_lo, f_hi
-    for _ in range(30):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    x, fx = b, fb
-    xp, fxp = a, fa
-    for _ in range(3):
-        if fx == fxp:
-            break
-        xn = x - fx * (x - xp) / (fx - fxp)
-        if not (lo <= xn <= hi):
-            xn = 0.5 * (x + xp)
-        xp, fxp = x, fx
-        x, fx = xn, f(xn)
-    return x
-
-
 def _root_candidates(b6):
     """All equalizing angles over the three cyclic subintervals of [0, 2pi]."""
     wpp, wqq, wrr = b6[0], b6[1], b6[2]
+
+    def f(theta):
+        dp, dq, _ = diag_after(b6, theta)
+        return dp - dq
+
     # endpoint values of f at 0, 2pi/3, 4pi/3, 2pi are cyclic permutations
     f_ends = [wpp - wqq, wqq - wrr, wrr - wpp, wpp - wqq]
     ends = [0.0, THIRD, 2.0 * THIRD, TWO_PI]
@@ -305,7 +270,7 @@ def _root_candidates(b6):
         if f_lo == 0.0:
             roots.append(ends[k])
         elif (f_lo < 0.0) != (f_hi < 0.0) or f_hi == 0.0:
-            roots.append(_bisect_root(b6, ends[k], ends[k + 1], f_lo, f_hi))
+            roots.append(linalg.bracketed_root(f, ends[k], ends[k + 1], f_lo, f_hi))
     return roots
 
 
@@ -316,49 +281,31 @@ def _best_root_move(state, p, q, r):
     rest = state.psi() - sum((x - t) ** 2 for x in (b6[0], b6[1], b6[2]))
     best = None
     for theta in _root_candidates(b6):
-        dp, dq, dr = _diag_after(b6, theta)
+        dp, dq, dr = diag_after(b6, theta)
         psi_new = rest + (dp - t) ** 2 + (dq - t) ** 2 + (dr - t) ** 2
         if best is None or psi_new < best[1]:
             best = (theta, psi_new)
     return best
 
 
-def _exact_triple_min(state, p, q, r):
-    """Global minimizer of the triple's variance contribution over theta.
+def triple_min(state, p, q, r):
+    """Global minimizer (theta, new variance) of the triple's rotation, or None.
 
-    The contribution is a trigonometric polynomial of degree <= 4, so 16
-    samples determine it exactly; the derivative's roots come from a
-    degree-8 polynomial in z = exp(i theta).
+    The triple's variance contribution is a trigonometric polynomial of
+    degree <= 4 in theta, which linalg.trig_argmin minimizes exactly.
     """
     b6 = state.block6(p, q, r)
     t = state.t
-    thetas = np.arange(16) * (TWO_PI / 16.0)
-    samples = np.empty(16)
-    for j, th in enumerate(thetas):
-        dp, dq, dr = _diag_after(b6, th)
-        samples[j] = (dp - t) ** 2 + (dq - t) ** 2 + (dr - t) ** 2
-    coeff = np.fft.fft(samples) / 16.0
-    # z^4 * h'(theta) has coefficients i k c_k for k = -4..4
-    poly = np.array([1j * (4 - j) * coeff[(4 - j) % 16] for j in range(9)])
-    top = np.max(np.abs(poly))
-    if top == 0.0:
+
+    def contribution(theta):
+        dp, dq, dr = diag_after(b6, theta)
+        return (dp - t) ** 2 + (dq - t) ** 2 + (dr - t) ** 2
+
+    found = linalg.trig_argmin(contribution)
+    if found is None:
         return None
-    lead = np.argmax(np.abs(poly) > 1e-14 * top)
-    poly = poly[lead:]
-    if poly.size < 2:
-        return None
-    z = np.roots(poly)
-    cand = np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]).real
-    if cand.size == 0:
-        return None
-    best_theta, best_val = None, None
-    for th in cand:
-        dp, dq, dr = _diag_after(b6, float(th))
-        val = (dp - t) ** 2 + (dq - t) ** 2 + (dr - t) ** 2
-        if best_val is None or val < best_val:
-            best_theta, best_val = float(th), val
-    rest = state.psi() - samples[0]
-    return best_theta, rest + best_val
+    theta, val = found
+    return theta, state.psi() - contribution(0.0) + val
 
 
 def _newton_finish(state, thresh, max_steps=12):
@@ -453,7 +400,7 @@ def _pair_escape(state):
             for t2 in second_pool:
                 if t2 == t1:
                     continue
-                found = _exact_triple_min(state, t2[0], t2[1], t2[2])
+                found = triple_min(state, t2[0], t2[1], t2[2])
                 if found is None:
                     continue
                 mid = state.snapshot()
@@ -470,7 +417,9 @@ def _pair_escape(state):
     return False
 
 
-def equalize_diagonal_barycentric(m, tol=1e-10, max_iter=None, seed=0, row_tol=None):
+def equalize_diagonal_barycentric(
+    m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_iter=None, seed=0, row_tol=None
+):
     """Equalize diag(V^T M V) with V in the stabilizer of the all-ones vector.
 
     M must be symmetric with constant row sums (then the all-ones direction
@@ -506,7 +455,7 @@ def equalize_diagonal_barycentric(m, tol=1e-10, max_iter=None, seed=0, row_tol=N
     thresh = (tol * (1.0 + abs(t))) ** 2
     rng = np.random.default_rng(seed)
 
-    state = _StabilizerState(m, t)
+    state = StabilizerState(m, t)
     psi0 = state.psi()
     history = [psi0]
     best_psi = psi0
@@ -567,7 +516,7 @@ def equalize_diagonal_barycentric(m, tol=1e-10, max_iter=None, seed=0, row_tol=N
             for p, q, r in combinations(range(n), 3):
                 if state.applied >= max_iter:
                     break
-                found = _exact_triple_min(state, p, q, r)
+                found = triple_min(state, p, q, r)
                 if found is None:
                     continue
                 theta, _ = found

@@ -6,10 +6,12 @@ For an orthotope (U, lambda) on the unit sphere mapped into E by B:
     S = 2 * sum_i sqrt(det G_{-i,-i})      (Gram route, G = V^T V)
       = 2 * sqrt(det A) * prod(lambda) * sum_i sqrt((U^T C U)_ii) / lambda_i
 
-The sampling helpers (phi, beta_product_sum, maclaurin_gap) accept either a
-single vector or a batch with vectors along the last axis.
+``evaluate`` is the one implementation of L and the factored S; it and the
+sampling helpers (phi, beta_product_sum, maclaurin_gap) accept either a
+single orthotope or vector, or a batch along the leading axes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,17 +38,42 @@ class FunctionalValue:
 
 
 def diag_quadratic(u, m):
-    """diag(U^T M U) without forming the full product."""
-    return np.einsum("ji,jk,ki->i", u, m, u)
+    """diag(U^T M U) without forming the full product; U may be a stack."""
+    return np.einsum("...ji,jk,...ki->...i", u, m, u)
+
+
+def evaluate(e, u, lam, functional):
+    """L or the factored S of orthotopes (U, lambda) in E.
+
+    U has shape (..., n, n) and lambda (..., n); returns one value per
+    leading index (a 0-d array for a single orthotope).
+    """
+    if functional == "edge_length":
+        g = diag_quadratic(u, e.A)
+        return 2.0 ** (e.n - 1) * np.sum(lam * np.sqrt(g), axis=-1)
+    gc = diag_quadratic(u, e.C)
+    det_a = float(np.prod(e.eigenvalues))
+    return (
+        2.0 * math.sqrt(det_a) * np.prod(lam, axis=-1) * np.sum(np.sqrt(gc) / lam, axis=-1)
+    )
+
+
+def _orthotope_value(e, q, functional):
+    if e.n != q.n:
+        raise DimensionMismatch("ellipsoid and orthotope dimensions differ")
+    value = float(evaluate(e, q.U, q.lam, functional))
+    return FunctionalValue(value, functional, float(q.lam.max() / q.lam.min()))
 
 
 def edge_length_total(e, q):
-    if e.n != q.n:
-        raise DimensionMismatch("ellipsoid and orthotope dimensions differ")
-    g = diag_quadratic(q.U, e.A)
-    value = 2.0 ** (e.n - 1) * float(np.sum(q.lam * np.sqrt(g)))
-    cond = float(q.lam.max() / q.lam.min())
-    return FunctionalValue(value, "edge_length", cond)
+    return _orthotope_value(e, q, "edge_length")
+
+
+def edge_length_total_edges(p):
+    """L = 2^(n-1) sum ||v_i|| straight from the edge vectors."""
+    lens = np.linalg.norm(p.V, axis=0)
+    value = 2.0 ** (p.n - 1) * float(np.sum(lens))
+    return FunctionalValue(value, "edge_length", float(lens.max() / lens.min()))
 
 
 def facet_area_total_gram(p):
@@ -67,15 +94,7 @@ def facet_area_total_gram(p):
 
 def facet_area_total_factored(e, q):
     """S via the factored identity; kept as a cross-check of the Gram route."""
-    if e.n != q.n:
-        raise DimensionMismatch("ellipsoid and orthotope dimensions differ")
-    gc = diag_quadratic(q.U, e.C)
-    det_a = float(np.prod(e.eigenvalues))
-    value = 2.0 * np.sqrt(det_a) * float(np.prod(q.lam)) * float(
-        np.sum(np.sqrt(gc) / q.lam)
-    )
-    cond = float(q.lam.max() / q.lam.min())
-    return FunctionalValue(value, "facet_area", cond)
+    return _orthotope_value(e, q, "facet_area")
 
 
 def bound_L_max(e):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .config import DEFAULT_TOLERANCES
 from .errors import (
     DegenerateParallelepiped,
     DimensionMismatch,
@@ -122,7 +123,7 @@ def all_plus_vertex(p):
     return 0.5 * np.sum(p.V, axis=1)
 
 
-def is_inscribed(e, p, tol=1e-9):
+def is_inscribed(e, p, tol=DEFAULT_TOLERANCES.inscribed_tol):
     """Check all 2^n vertices against x^T C x = 1."""
     if e.n != p.n:
         raise DimensionMismatch("ellipsoid and parallelepiped dimensions differ")

@@ -1,14 +1,19 @@
-"""Dense symmetric/orthogonal kernels for small n (n <= ~16).
+"""Dense kernels for small n (n <= ~16), each with one implementation.
 
-Everything operates on plain float64 ndarrays. Validation helpers return the
-cleaned-up array so callers can chain them.
+Symmetric/orthogonal validation, Haar sampling, Givens rotations, the
+bracketed scalar root and the trig-polynomial argmin. Everything operates on
+plain float64 ndarrays. Validation helpers return the cleaned-up array so
+callers can chain them.
 """
+
+import math
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-ORTHO_TOL = 1e-10
+ORTHO_TOL = DEFAULT_TOLERANCES.ortho_tol
 SPD_REL_TOL = 1e-12
 
 
@@ -38,13 +43,6 @@ def spd_matrix(a, rel_tol=SPD_REL_TOL):
             f"matrix is not positive definite (eigenvalues {w.min():.3e}..{w.max():.3e})"
         )
     return s
-
-
-def eigh(s):
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    s = sym_matrix(s)
-    w, q = np.linalg.eigh(s)
-    return w, q
 
 
 def spd_sqrt(a):
@@ -114,8 +112,86 @@ def random_orthogonal(n, seed):
     if n < 1:
         raise DimensionMismatch("n must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = rng.standard_normal((n, n))
+    return haar_from_gaussian(rng.standard_normal((n, n)))
+
+
+def haar_from_gaussian(g):
+    """Q factors of a (..., n, n) stack of Gaussian matrices, sign-fixed.
+
+    The sign fix makes the QR factorization unique, which is what makes Q
+    Haar distributed (Mezzadri, Notices AMS 54, 2007).
+    """
     q, r = np.linalg.qr(g)
-    # sign fix: make the QR factor unique, which is what makes Q Haar
-    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q
+    return q * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+
+
+def givens(n, i, j, theta):
+    """Rotation by theta in the (i, j) coordinate plane, as an n x n matrix."""
+    g = np.eye(n)
+    c, s = math.cos(theta), math.sin(theta)
+    g[i, i] = c
+    g[j, j] = c
+    g[j, i] = s
+    g[i, j] = -s
+    return g
+
+
+def bracketed_root(f, lo, hi, f_lo, f_hi):
+    """Root of f inside [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
+
+    30 bisection steps, then up to three secant steps that stay in the bracket.
+    """
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    a, b = lo, hi
+    fa, fb = f_lo, f_hi
+    for _ in range(30):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fa < 0.0) != (fm < 0.0):
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    x, fx = b, fb
+    xp, fxp = a, fa
+    for _ in range(3):
+        if fx == fxp:
+            break
+        xn = x - fx * (x - xp) / (fx - fxp)
+        if not (lo <= xn <= hi):
+            xn = 0.5 * (x + xp)
+        xp, fxp = x, fx
+        x, fx = xn, f(xn)
+    return x
+
+
+def trig_argmin(fun):
+    """Global minimizer (theta, fun(theta)) of a trig polynomial with harmonics <= 4.
+
+    16 samples pin the coefficients; the derivative's critical points are the
+    unit-circle roots of a degree-8 polynomial in z = exp(i theta). Returns
+    None when the polynomial is constant or has no critical point on the
+    circle.
+    """
+    thetas = np.arange(16) * (2.0 * math.pi / 16.0)
+    samples = np.array([fun(float(t)) for t in thetas])
+    coeff = np.fft.fft(samples) / 16.0
+    # z^4 * h'(theta) has coefficients i k c_k for k = -4..4
+    poly = np.array([1j * (4 - j) * coeff[(4 - j) % 16] for j in range(9)])
+    top = np.max(np.abs(poly))
+    if top == 0.0:
+        return None
+    poly = poly[np.argmax(np.abs(poly) > 1e-14 * top):]
+    if poly.size < 2:
+        return None
+    z = np.roots(poly)
+    best = None
+    for t in np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]).real:
+        v = fun(float(t))
+        if best is None or v < best[1]:
+            best = (float(t), v)
+    return best

@@ -14,8 +14,9 @@ from itertools import combinations
 import numpy as np
 
 from . import functionals, geometry, linalg
+from .config import DEFAULT_TOLERANCES
 from .constructors import VertexConstraint, vertex_lambdas
-from .equalizer import _StabilizerState, _diag_after, _exact_triple_min, barycentric_basis
+from .equalizer import StabilizerState, barycentric_basis, diag_after, triple_min
 from .errors import NonPositiveInput, NotInscribed
 
 CHUNK = 2048
@@ -73,20 +74,7 @@ def _haar_chunk(n, seed, t0, t1, want_lambda):
         gauss[j] = rng.standard_normal((n, n))
         if want_lambda:
             extra[j] = rng.standard_normal(n)
-    q, r = np.linalg.qr(gauss)
-    signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
-    return q * signs[:, None, :], extra
-
-
-def _batch_values(e, u, lam, functional):
-    if functional == "edge_length":
-        g = np.einsum("tji,jk,tki->ti", u, e.A, u)
-        return 2.0 ** (e.n - 1) * np.sum(lam * np.sqrt(g), axis=1)
-    gc = np.einsum("tji,jk,tki->ti", u, e.C, u)
-    det_a = float(np.prod(e.eigenvalues))
-    return (
-        2.0 * math.sqrt(det_a) * np.prod(lam, axis=1) * np.sum(np.sqrt(gc) / lam, axis=1)
-    )
+    return linalg.haar_from_gaussian(gauss), extra
 
 
 def _bound_for(e, functional):
@@ -97,60 +85,17 @@ def _bound_for(e, functional):
     raise ValueError(f"unknown functional {functional!r}")
 
 
-def random_search_global(e, functional, trials, seed, bound_slack=1e-9, keep_trace=False):
-    """Sample Haar frames with folded-Gaussian edge lengths; certify the bound."""
-    trials = int(trials)
-    if trials < 1:
-        raise NonPositiveInput("trials must be >= 1")
-    bound = _bound_for(e, functional)
-    limit = bound * (1.0 + bound_slack)
-    best_value = -np.inf
-    best_trial = -1
-    violations = 0
-    trace = [] if keep_trace else None
-    for t0 in range(0, trials, CHUNK):
-        t1 = min(trials, t0 + CHUNK)
-        u, h = _haar_chunk(e.n, seed, t0, t1, want_lambda=True)
-        habs = np.abs(h)
-        lam = 2.0 * habs / np.linalg.norm(habs, axis=1, keepdims=True)
-        vals = _batch_values(e, u, lam, functional)
-        violations += int(np.sum(vals > limit))
-        k = int(np.argmax(vals))
-        if vals[k] > best_value:
-            best_value = float(vals[k])
-            best_trial = t0 + k
-        if keep_trace:
-            trace.extend(float(v) for v in vals)
-    rng = np.random.default_rng((seed, best_trial))
-    gauss = rng.standard_normal((e.n, e.n))
-    qm, rm = np.linalg.qr(gauss)
-    qm = qm * np.where(np.diag(rm) < 0.0, -1.0, 1.0)
-    habs = np.abs(rng.standard_normal(e.n))
-    lam = 2.0 * habs / np.linalg.norm(habs)
-    best_config = geometry.SphereOrthotope(qm, lam)
-    return SearchReport(
-        trials=trials,
-        best_value=best_value,
-        bound=bound,
-        best_gap=(bound - best_value) / bound,
-        best_config=best_config,
-        violations=violations,
-        best_trial=best_trial,
-        trace=trace,
-    )
+def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, rule):
+    """The chunked search loop behind both public searches.
 
-
-def random_search_vertex(e, x0, functional, trials, seed, bound_slack=1e-9, keep_trace=False):
-    """Like the global search, but every sample's all-plus vertex is pinned to x0.
-
-    Frames whose z = U^T y0 has a near-zero entry cannot carry a
-    nondegenerate parallelepiped through the vertex; those draws are skipped
-    and counted, not replaced.
+    rule(u, h) turns a chunk of frames (and its lambda Gaussians, None
+    unless want_lambda) into edge lengths and a mask of usable frames;
+    masked frames are skipped and counted. Returns the report without its
+    best configuration, plus the best trial's re-drawn frame and Gaussians.
     """
     trials = int(trials)
     if trials < 1:
         raise NonPositiveInput("trials must be >= 1")
-    vc = VertexConstraint.from_point(e, x0)
     bound = _bound_for(e, functional)
     limit = bound * (1.0 + bound_slack)
     best_value = -np.inf
@@ -160,14 +105,11 @@ def random_search_vertex(e, x0, functional, trials, seed, bound_slack=1e-9, keep
     trace = [] if keep_trace else None
     for t0 in range(0, trials, CHUNK):
         t1 = min(trials, t0 + CHUNK)
-        u, _ = _haar_chunk(e.n, seed, t0, t1, want_lambda=False)
-        z = np.einsum("tij,i->tj", u, vc.y0)
-        ok = np.min(np.abs(z), axis=1) >= DEGENERATE_TOL
-        skips += int(np.sum(~ok))
-        lam = 2.0 * np.abs(z)
-        lam[~ok] = 1.0  # placeholder, masked out below
-        vals = _batch_values(e, u, lam, functional)
+        u, h = _haar_chunk(e.n, seed, t0, t1, want_lambda)
+        lam, ok = rule(u, h)
+        vals = functionals.evaluate(e, u, lam, functional)
         vals[~ok] = -np.inf
+        skips += int(np.sum(~ok))
         violations += int(np.sum(vals > limit))
         k = int(np.argmax(vals))
         if vals[k] > best_value:
@@ -175,50 +117,61 @@ def random_search_vertex(e, x0, functional, trials, seed, bound_slack=1e-9, keep
             best_trial = t0 + k
         if keep_trace:
             trace.extend(float(v) for v in vals)
-    rng = np.random.default_rng((seed, best_trial))
-    gauss = rng.standard_normal((e.n, e.n))
-    qm, rm = np.linalg.qr(gauss)
-    qm = qm * np.where(np.diag(rm) < 0.0, -1.0, 1.0)
-    u_fixed, lam = vertex_lambdas(qm, vc.y0)
-    best_config = geometry.SphereOrthotope(u_fixed, lam)
-    return SearchReport(
+    u, h = _haar_chunk(e.n, seed, best_trial, best_trial + 1, want_lambda)
+    report = SearchReport(
         trials=trials,
         best_value=best_value,
         bound=bound,
         best_gap=(bound - best_value) / bound,
-        best_config=best_config,
+        best_config=None,
         violations=violations,
         degenerate_skips=skips,
         best_trial=best_trial,
         trace=trace,
     )
+    return report, u[0], None if h is None else h[0]
 
 
-def _trig_argmin(fun):
-    """Exact global minimizer of a trig polynomial with harmonics <= 4.
+def random_search_global(
+    e, functional, trials, seed, bound_slack=DEFAULT_TOLERANCES.bound_slack, keep_trace=False
+):
+    """Sample Haar frames with folded-Gaussian edge lengths; certify the bound."""
 
-    16 samples pin the coefficients; the derivative's roots are the unit-
-    circle roots of a degree-8 polynomial in exp(i theta).
+    def rule(u, h):
+        habs = np.abs(h)
+        lam = 2.0 * habs / np.linalg.norm(habs, axis=1, keepdims=True)
+        return lam, np.ones(len(u), dtype=bool)
+
+    report, u, h = _search(e, functional, trials, seed, bound_slack, keep_trace, True, rule)
+    # the 1-D norm, not the chunk's row norm: the two can differ in the last
+    # bit, and the reported configuration has always used this one
+    habs = np.abs(h)
+    report.best_config = geometry.SphereOrthotope(u, 2.0 * habs / np.linalg.norm(habs))
+    return report
+
+
+def random_search_vertex(
+    e, x0, functional, trials, seed, bound_slack=DEFAULT_TOLERANCES.bound_slack,
+    keep_trace=False,
+):
+    """Like the global search, but every sample's all-plus vertex is pinned to x0.
+
+    Frames whose z = U^T y0 has a near-zero entry cannot carry a
+    nondegenerate parallelepiped through the vertex; those draws are skipped
+    and counted, not replaced.
     """
-    thetas = np.arange(16) * (2.0 * math.pi / 16.0)
-    samples = np.array([fun(float(t)) for t in thetas])
-    coeff = np.fft.fft(samples) / 16.0
-    poly = np.array([1j * (4 - j) * coeff[(4 - j) % 16] for j in range(9)])
-    top = float(np.max(np.abs(poly)))
-    if top == 0.0:
-        return 0.0, float(samples[0])
-    lead = int(np.argmax(np.abs(poly) > 1e-14 * top))
-    poly = poly[lead:]
-    if poly.size < 2:
-        return 0.0, float(samples[0])
-    z = np.roots(poly)
-    cand = np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]).real
-    best_t, best_v = 0.0, float(samples[0])
-    for t in cand:
-        v = fun(float(t))
-        if v < best_v:
-            best_t, best_v = float(t), v
-    return best_t, best_v
+    vc = VertexConstraint.from_point(e, x0)
+
+    def rule(u, h):
+        z = np.einsum("tij,i->tj", u, vc.y0)
+        ok = np.min(np.abs(z), axis=1) >= DEGENERATE_TOL
+        lam = 2.0 * np.abs(z)
+        lam[~ok] = 1.0  # placeholder, masked out by the loop
+        return lam, ok
+
+    report, u, _ = _search(e, functional, trials, seed, bound_slack, keep_trace, False, rule)
+    report.best_config = geometry.SphereOrthotope(*vertex_lambdas(u, vc.y0))
+    return report
 
 
 def _rotate_cols(u, i, j, theta):
@@ -257,7 +210,10 @@ def _explore_edge(a, y0, restarts, iters, seed):
             start = r2
             for i in range(n - 1):
                 for j in range(i + 1, n):
-                    theta, val = _trig_argmin(lambda t: resid2(_rotate_cols(u, i, j, t)))
+                    found = linalg.trig_argmin(lambda t: resid2(_rotate_cols(u, i, j, t)))
+                    if found is None:
+                        continue
+                    theta, val = found
                     if val < r2 * (1.0 - 1e-14):
                         u = _rotate_cols(u, i, j, theta)
                         r2 = resid2(u)
@@ -278,11 +234,11 @@ def _explore_facet(a, y0, restarts, iters, seed):
     mt = linalg.sym_matrix(u0.T @ c_mat @ u0)
     t = float(np.trace(mt)) / n
     sigmas = np.geomspace(0.3, 1e-6, max(iters, 2))
-    base_state = _StabilizerState(mt, t)
+    base_state = StabilizerState(mt, t)
     best_v, best_psi = base_state.v.copy(), base_state.psi()
     for rs in range(restarts):
         rng = np.random.default_rng((seed, rs))
-        state = _StabilizerState(mt, t)
+        state = StabilizerState(mt, t)
         for _ in range(n):
             trip = rng.permutation(n)[:3]
             state.apply(int(trip[0]), int(trip[1]), int(trip[2]), rng.uniform(0.0, 2.0 * math.pi))
@@ -292,7 +248,7 @@ def _explore_facet(a, y0, restarts, iters, seed):
             p, q, r = int(trip[0]), int(trip[1]), int(trip[2])
             theta = float(sigmas[k] * rng.standard_normal())
             b6 = state.block6(p, q, r)
-            dp, dq, dr = _diag_after(b6, theta)
+            dp, dq, dr = diag_after(b6, theta)
             rest = psi - (b6[0] - t) ** 2 - (b6[1] - t) ** 2 - (b6[2] - t) ** 2
             psi_new = rest + (dp - t) ** 2 + (dq - t) ** 2 + (dr - t) ** 2
             if psi_new < psi:
@@ -301,7 +257,7 @@ def _explore_facet(a, y0, restarts, iters, seed):
         for _ in range(200):
             start = state.psi()
             for p, q, r in combinations(range(n), 3):
-                found = _exact_triple_min(state, p, q, r)
+                found = triple_min(state, p, q, r)
                 if found is None:
                     continue
                 theta, psi_new = found
@@ -312,7 +268,7 @@ def _explore_facet(a, y0, restarts, iters, seed):
                 break
         state.resync()
         psi = state.psi()
-        if best_psi is None or psi < best_psi:
+        if psi < best_psi:
             best_v, best_psi = state.v.copy(), psi
     return RshReport(
         residual=math.sqrt(max(best_psi, 0.0)), U=u0 @ best_v, target="facet_area",
@@ -350,12 +306,7 @@ def stationarity_check(e, q, functional, h=1e-5):
     n = e.n
 
     def value(u, lam):
-        if functional == "edge_length":
-            g = functionals.diag_quadratic(u, e.A)
-            return 2.0 ** (n - 1) * float(np.sum(lam * np.sqrt(g)))
-        gc = functionals.diag_quadratic(u, e.C)
-        det_a = float(np.prod(e.eigenvalues))
-        return 2.0 * math.sqrt(det_a) * float(np.prod(lam)) * float(np.sum(np.sqrt(gc) / lam))
+        return float(functionals.evaluate(e, u, lam, functional))
 
     worst = 0.0
     for i in range(n - 1):
@@ -383,7 +334,7 @@ class TangentNormalsDump:
     gram: np.ndarray
 
 
-def tangent_normals_dump(e, p, tol=1e-9):
+def tangent_normals_dump(e, p, tol=DEFAULT_TOLERANCES.inscribed_tol):
     """Outward unit normals C x / ||C x|| at all 2^n vertices, plus their Gram
     matrix. Diagnostic only; nothing is asserted about the angles."""
     rep = geometry.is_inscribed(e, p, tol)

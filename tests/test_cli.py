@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -250,3 +251,101 @@ def test_construct_impossible_vertex_facet_exits_2(tmp_path, capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["error"]["type"] in ("NotConverged", "UnsupportedCase")
+
+
+def test_manifest_tolerances_match_the_flags(tmp_path, capsys):
+    m = write_matrix(tmp_path, "a.json", [[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(SystemExit):
+        cli.main(["bounds", "--help"])
+    flags = sorted(set(re.findall(r"--tol-[a-z-]+", capsys.readouterr().out)))
+    argv = ["bounds", "--matrix", m]
+    for k, flag in enumerate(flags):
+        argv += [flag, f"{k + 1}e-3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    recorded = json.loads(out)["manifest"]["tolerances"]
+    # every flag is recorded, and every recorded tolerance came from a flag
+    assert sorted(recorded.values()) == [(k + 1) * 1e-3 for k in range(len(flags))]
+    assert "ortho_tol" not in recorded
+
+
+def test_tol_ortho_flag_rejected(tmp_path, capsys):
+    m = write_matrix(tmp_path, "a.json", [[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["bounds", "--matrix", m, "--tol-ortho", "1e-3"])
+    assert stop.value.code == 2
+    assert "--tol-ortho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[[1.0, 0.0], [0.0, 1.0]], {"n": 2}, {"n": 2, "edges": [["a", "b"], [1.0, 2.0]]}],
+    ids=["json-list", "no-edges", "non-numeric"],
+)
+def test_verify_malformed_parallelepiped_rejected(tmp_path, capsys, doc):
+    m = write_matrix(tmp_path, "a.json", [[2.0, 0.0], [0.0, 1.0]])
+    pe = tmp_path / "p.json"
+    pe.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["verify", "--matrix", m, "--parallelepiped", str(pe)])
+    assert code == 1
+    assert out == ""
+    assert "expected {'n': int, 'edges'" in err
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "1e999"])
+def test_non_finite_inputs_rejected(tmp_path, capsys, text):
+    bad_matrix = tmp_path / "a.json"
+    bad_matrix.write_text('{"n": 2, "data": [[%s, 0.0], [0.0, 1.0]]}' % text)
+    bad_vector = tmp_path / "x0.json"
+    bad_vector.write_text('{"n": 2, "data": [%s, 0.0]}' % text)
+    bad_edges = tmp_path / "p.json"
+    bad_edges.write_text('{"n": 2, "edges": [[%s, 0.0], [0.0, 1.0]]}' % text)
+    good = write_matrix(tmp_path, "good.json", [[1.0, 0.0], [0.0, 1.0]])
+    for argv, path in (
+        (["bounds", "--matrix", str(bad_matrix)], bad_matrix),
+        (["construct", "--matrix", good, "--functional", "edge", "--vertex", str(bad_vector)],
+         bad_vector),
+        (["verify", "--matrix", good, "--parallelepiped", str(bad_edges)], bad_edges),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"{path}: entries must be finite" in err
+
+
+def test_non_finite_result_refused_not_printed(tmp_path, capsys):
+    m = write_matrix(tmp_path, "a.json", [[1e308, 1e308], [1e308, 1e308]])
+    code, out, err = run_cli(capsys, ["bounds", "--matrix", m])
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
+def test_linear_algebra_failure_exits_1(tmp_path, capsys, monkeypatch):
+    m = write_matrix(tmp_path, "a.json", [[1e308, 1e308], [1e308, 1e308]])
+    code, out, err = run_cli(capsys, ["construct", "--matrix", m, "--functional", "edge"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "bound_L_max", fail)
+    ok = write_matrix(tmp_path, "ok.json", [[1.0, 0.0], [0.0, 2.0]])
+    code, out, err = run_cli(capsys, ["bounds", "--matrix", ok])
+    assert code == 1
+    assert out == ""
+    assert "error: linear algebra failure: SVD did not converge" in err
+
+
+def test_missing_vertex_file_rejected(tmp_path, capsys):
+    m = write_matrix(tmp_path, "a.json", [[1.0, 0.0], [0.0, 2.0]])
+    missing = str(tmp_path / "absent.json")
+    for argv in (["construct", "--matrix", m, "--functional", "edge", "--vertex", missing],
+                 ["search", "--matrix", m, "--functional", "edge", "--trials", "5",
+                  "--seed", "0", "--vertex", missing]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "cannot read" in err

@@ -94,17 +94,47 @@ def test_unit_vector_validates_norm():
         linalg.unit_vector(np.array([3.0, 4.0]))
 
 
-def test_eigh_ascending():
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=(6, 6))
-    a = g + g.T
-    w, v = linalg.eigh(a)
-    assert np.all(np.diff(w) >= 0)
-    assert_allclose(v @ np.diag(w) @ v.T, a, atol=1e-12)
-
-
 def test_sym_matrix_symmetrizes():
     m = np.array([[1.0, 2.0], [0.0, 3.0]])
     s = linalg.sym_matrix(m)
     assert np.array_equal(s, s.T)
     assert s[0, 1] == 1.0
+
+
+def test_haar_stack_matches_single_draws():
+    g = np.random.default_rng(9).standard_normal((4, 5, 5))
+    stacked = linalg.haar_from_gaussian(g)
+    for k in range(4):
+        assert np.array_equal(stacked[k], linalg.haar_from_gaussian(g[k]))
+        assert np.array_equal(stacked[k], linalg.haar_from_gaussian(g[k : k + 1])[0])
+
+
+def test_givens_rotates_the_coordinate_plane():
+    g = linalg.givens(4, 1, 3, 0.3)
+    assert_allclose(g.T @ g, np.eye(4), atol=TOL)
+    assert_allclose(g @ np.eye(4)[1], [0.0, np.cos(0.3), 0.0, np.sin(0.3)], atol=TOL)
+    assert_allclose(g[[0, 2]][:, [0, 2]], np.eye(2), atol=0.0)
+
+
+def test_trig_argmin_matches_dense_grid():
+    def h(t):
+        return (
+            0.3 + np.cos(t) - 0.7 * np.sin(2.0 * t) + 0.4 * np.cos(3.0 * t + 0.2)
+            + 0.9 * np.sin(4.0 * t - 1.1)
+        )
+
+    theta, value = linalg.trig_argmin(lambda t: float(h(t)))
+    grid = np.linspace(0.0, 2.0 * np.pi, 200001)
+    assert value <= float(np.min(h(grid))) + 1e-12
+    assert abs(value - h(theta)) < 1e-14
+    assert np.min(np.abs(np.exp(1j * grid[np.argmin(h(grid))]) - np.exp(1j * theta))) < 1e-4
+
+
+def test_trig_argmin_none_on_constant():
+    assert linalg.trig_argmin(lambda t: 2.5) is None
+
+
+def test_bracketed_root_known_root():
+    root = linalg.bracketed_root(np.cos, 0.0, 3.0, 1.0, float(np.cos(3.0)))
+    assert abs(root - np.pi / 2.0) < 1e-14
+    assert linalg.bracketed_root(np.cos, 1.0, 2.0, 0.0, -1.0) == 1.0
