@@ -3,9 +3,10 @@
 JSON in, JSON out. Matrices are {"n": int, "data": [[row], ...]}, vectors
 {"n": int, "data": [...]}, parallelepipeds {"n": int, "edges": [[edge], ...]}.
 Every result carries a run manifest (input hashes, seed, tolerances,
-version) so a run can be reproduced byte for byte. Tolerance flags default
-to config.DEFAULT_TOLERANCES. Input entries must be finite, and output is
-strict JSON (no NaN or Infinity).
+version) so a run can be reproduced byte for byte. A subcommand takes only
+the tolerance flags it applies; they default to config.DEFAULT_TOLERANCES.
+Input entries must be finite, and output is strict JSON (no NaN or
+Infinity).
 
 Exit codes: 0 success, 1 validation error, 2 not converged / unsupported
 case, 3 bound violation found by a search.
@@ -46,7 +47,8 @@ SCHEMA = "inscribed-extrema/1"
 SYMMETRY_REL_TOL = 1e-12
 FUNCTIONAL_NAMES = {"edge": "edge_length", "facet": "facet_area"}
 # flag -> ToleranceConfig field; the field is also the argparse dest and the
-# manifest key, so the manifest records exactly the tolerances a run applied
+# manifest key. Each subcommand registers only the flags it applies, so the
+# manifest records exactly the tolerances a run applied
 TOLERANCE_FLAGS = {
     "--tol-inscribed": "inscribed_tol",
     "--tol-equalizer": "equalizer_tol",
@@ -120,7 +122,9 @@ def _manifest(args):
             name: {"path": path, "sha256": _sha256(path)} for name, path in paths.items() if path
         },
         "seed": getattr(args, "seed", None),
-        "tolerances": {key: getattr(args, key) for key in TOLERANCE_FLAGS.values()},
+        "tolerances": {
+            key: getattr(args, key) for key in TOLERANCE_FLAGS.values() if hasattr(args, key)
+        },
         "version": __version__,
     }
 
@@ -277,8 +281,9 @@ def _cmd_explore_rsh(args):
     return 0, report.to_dict(), None
 
 
-def _add_tolerance_flags(sp):
-    for flag, key in TOLERANCE_FLAGS.items():
+def _add_tolerance_flags(sp, *tolerance_flags):
+    for flag in tolerance_flags:
+        key = TOLERANCE_FLAGS[flag]
         sp.add_argument(flag, dest=key, type=float, default=getattr(DEFAULT_TOLERANCES, key))
     sp.add_argument("--output", default=None, help="write JSON here (atomically) instead of stdout")
 
@@ -301,13 +306,13 @@ def build_parser():
     sp.add_argument("--functional", choices=("edge", "facet"), required=True)
     sp.add_argument("--vertex", default=None, help="boundary point the all-plus vertex must hit")
     sp.add_argument("--seed", type=int, default=None)
-    _add_tolerance_flags(sp)
+    _add_tolerance_flags(sp, "--tol-equalizer")
     sp.set_defaults(run=_cmd_construct)
 
     sp = sub.add_parser("verify", help="evaluate a parallelepiped file against an ellipsoid")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--parallelepiped", required=True)
-    _add_tolerance_flags(sp)
+    _add_tolerance_flags(sp, "--tol-inscribed")
     sp.set_defaults(run=_cmd_verify)
 
     sp = sub.add_parser("search", help="random-search certification of the bounds")
@@ -317,7 +322,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--vertex", default=None)
     sp.add_argument("--csv-trace", default=None, help="write per-trial values as CSV")
-    _add_tolerance_flags(sp)
+    _add_tolerance_flags(sp, "--tol-bound-slack")
     sp.set_defaults(run=_cmd_search)
 
     sp = sub.add_parser("equalize", help="diagonal equalization report")
@@ -325,7 +330,7 @@ def build_parser():
     sp.add_argument("--barycentric", action="store_true")
     sp.add_argument("--max-iter", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    _add_tolerance_flags(sp)
+    _add_tolerance_flags(sp, "--tol-equalizer")
     sp.set_defaults(run=_cmd_equalize)
 
     sp = sub.add_parser(

@@ -188,13 +188,15 @@ def construct_vertex_2d(e, x0, functional="edge_length"):
 
 
 def _eigen_residual(e, y0):
+    """(||C y0 - mu y0||, gate): y0 counts as an eigenvector direction of C
+    when the residual is within the gate."""
     mu = float(y0 @ e.C @ y0)
-    return float(np.linalg.norm(e.C @ y0 - mu * y0))
+    res = float(np.linalg.norm(e.C @ y0 - mu * y0))
+    return res, EIGENVECTOR_TOL * float(np.max(np.abs(1.0 / e.eigenvalues)))
 
 
 def _require_eigenvector(e, y0):
-    res = _eigen_residual(e, y0)
-    gate = EIGENVECTOR_TOL * float(np.max(np.abs(1.0 / e.eigenvalues)))
+    res, gate = _eigen_residual(e, y0)
     if res > gate:
         raise NotEigenvector(
             f"y0 is not an eigenvector direction (residual {res:.3e} > {gate:.1e})"
@@ -209,7 +211,7 @@ def _barycentric_pipeline(e, vc, m_matrix, tol, seed):
     u0 = equalizer.barycentric_basis(vc.y0)
     m = linalg.sym_matrix(u0.T @ m_matrix @ u0)
     # the row-sum defect inherits the loose eigenvector gate, not 1e-9||M||
-    eig_res = _eigen_residual(e, vc.y0)
+    eig_res, _ = _eigen_residual(e, vc.y0)
     scale = float(np.max(np.abs(m)))
     row_tol = 1e-9 * (scale if scale > 0 else 1.0) + 4.0 * math.sqrt(n) * eig_res * float(
         np.max(np.abs(m_matrix))
@@ -225,10 +227,11 @@ def _barycentric_pipeline(e, vc, m_matrix, tol, seed):
 def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
     """Facet-area maximizer through an eigenvector boundary point.
 
-    Feasible whenever the constrained equalizer converges (always for balls
-    and for n in {4, 6, 7, 8}-like spectra; provably impossible for n=3 with
-    an anisotropic restriction, in which case NotConverged propagates with
-    the best frame found).
+    Feasible whenever the constrained equalizer converges: always for
+    balls, and for every n = 4, 6 and 8 input seen so far. It is provably
+    impossible for n=3 with an anisotropic restriction, and some odd-n
+    inputs (n = 5, rarely n = 7) have a positive variance floor; then
+    NotConverged propagates with the best frame found.
     """
     if e.n == 2:
         return construct_vertex_2d(e, x0, functional="facet_area")
@@ -249,62 +252,53 @@ def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     return q, cert
 
 
+def _restricted_l_residual(a_mat, y0):
+    """Residual diag(U^T A U) - tr(A) z*z, z = U^T y0, with its Jacobian over
+    all frame rotations (q = I), for equalizer.gauss_newton_frame.
+
+    Along Omega_ab, z moves by -Omega_ab z, which adds
+    2 tr(A) z * (Omega_ab z) to the Jacobian of the diagonal.
+    """
+    n = a_mat.shape[0]
+    tr_a = float(np.trace(a_mat))
+    eye = np.eye(n)
+    a, b = np.triu_indices(n, 1)
+    diagonal = equalizer.diag_residual(a_mat, 0.0, eye)
+
+    def residual(u):
+        r, jac = diagonal(u)
+        z = u.T @ y0
+        omega_z = eye[:, a] * z[b] - eye[:, b] * z[a]
+        return r - tr_a * z * z, jac + 2.0 * tr_a * z[:, None] * omega_z
+
+    return residual
+
+
 def _solve_restricted_l_3d(e, y0, seed, max_starts=60):
     """diag(U^T A U) = tr(A) (U^T y0)^2 solved directly for n = 3.
 
     The residual sums to zero identically, so the system is two equations in
-    three rotation angles; Gauss-Newton from seeded random starts converges
-    quadratically. Solutions with a near-zero z entry are rejected (they
-    cannot carry a nondegenerate parallelepiped).
+    the three rotation generators; Gauss-Newton from seeded random starts
+    converges quadratically. Solutions with a near-zero z entry are rejected
+    (they cannot carry a nondegenerate parallelepiped).
     """
-    a_mat = e.A
-    tr_a = float(np.trace(a_mat))
-    target_tol = 1e-12 * (1.0 + tr_a)
-
-    def frame(angles):
-        g = linalg.givens
-        return g(3, 0, 1, angles[0]) @ g(3, 0, 2, angles[1]) @ g(3, 1, 2, angles[2])
-
-    def residual(angles):
-        u = frame(angles)
-        z = u.T @ y0
-        return functionals.diag_quadratic(u, a_mat) - tr_a * z * z
-
+    thresh = (1e-12 * (1.0 + float(np.trace(e.A)))) ** 2
+    residual = _restricted_l_residual(e.A, y0)
+    eye = np.eye(3)
+    g = linalg.givens
     rng = np.random.default_rng(seed)
-    best = None
+    best = math.inf
     for _ in range(max_starts):
         angles = rng.uniform(0.0, 2.0 * math.pi, 3)
-        r = residual(angles)
-        rn = float(np.linalg.norm(r))
-        for _ in range(80):
-            if rn <= target_tol:
-                break
-            jac = np.empty((3, 3))
-            h = 1e-7
-            for k in range(3):
-                step = np.zeros(3)
-                step[k] = h
-                jac[:, k] = (residual(angles + step) - residual(angles - step)) / (2 * h)
-            delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            scale = 1.0
-            for _ in range(25):
-                trial = angles + scale * delta
-                rt = residual(trial)
-                rtn = float(np.linalg.norm(rt))
-                if rtn < rn:
-                    angles, r, rn = trial, rt, rtn
-                    break
-                scale *= 0.5
-            else:
-                break
-        if rn <= target_tol:
-            u = frame(angles)
-            if float(np.min(np.abs(u.T @ y0))) >= 1e-6:
-                return u, rn
-        if best is None or rn < best[1]:
-            best = (frame(angles), rn)
+        u0 = g(3, 0, 1, angles[0]) @ g(3, 0, 2, angles[1]) @ g(3, 1, 2, angles[2])
+        u, psi, _ = equalizer.gauss_newton_frame(
+            u0, eye, residual, thresh, equalizer.STEPS_PER_START
+        )
+        if psi <= thresh and float(np.min(np.abs(u.T @ y0))) >= 1e-6:
+            return u, math.sqrt(psi)
+        best = min(best, psi)
     raise NotConverged(
-        f"restricted diagonal condition not solved (best residual {best[1]:.3e})"
+        f"restricted diagonal condition not solved (best residual {math.sqrt(best):.3e})"
     )
 
 
@@ -357,7 +351,8 @@ def construct_through_vertex(
     if e.n == 2:
         return construct_vertex_2d(e, x0, functional=functional)
     vc = VertexConstraint.from_point(e, x0)
-    if _eigen_residual(e, vc.y0) > EIGENVECTOR_TOL * float(np.max(np.abs(1.0 / e.eigenvalues))):
+    res, gate = _eigen_residual(e, vc.y0)
+    if res > gate:
         raise UnsupportedCase(
             "no construction is known through a non-eigenvector boundary point for "
             "n >= 3; explore_restricted_schur_horn gathers numerical evidence instead"

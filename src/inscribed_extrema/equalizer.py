@@ -6,18 +6,22 @@ Two regimes:
   most n-1 Givens rotations (the equal-diagonal target is majorized by the
   spectrum, so every step is solvable in closed form).
 
-* equalize_diagonal_barycentric: all rotations must fix the all-ones vector,
-  so the only moves are rotations about (e_p+e_q+e_r)/sqrt(3) axes. This
-  constrained problem is NOT always feasible: for n=3 the diagonal variance
-  is invariant along the whole stabilizer orbit, and for n=5 (odd n in
-  general) there are open sets of row-constant inputs whose variance has a
-  positive floor. The routine reports the best frame found and raises
-  NotConverged honestly in those cases.
+* equalize_diagonal_barycentric: the frame must fix the all-ones vector.
+  gauss_newton_frame solves diag(V^T M V) = tr(M)/n on that stabilizer with
+  Cayley steps generated inside the ones-complement, from the identity and
+  then from seeded random stabilizer elements. This constrained problem is
+  NOT always feasible: for n=3 the diagonal variance is invariant along the
+  whole stabilizer orbit, and for n=5 (odd n in general) there are open sets
+  of row-constant inputs whose variance has a positive floor. The routine
+  reports the best frame found and raises NotConverged honestly in those
+  cases.
+
+StabilizerState, diag_after and triple_min move the frame by rotations about
+(e_p+e_q+e_r)/sqrt(3) axes; the oracle's facet explorer is built on them.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -25,16 +29,14 @@ from . import linalg
 from .config import DEFAULT_TOLERANCES
 from .errors import DimensionTooSmall, NotConverged, NotRowConstant
 
-TWO_PI = 2.0 * math.pi
-THIRD = TWO_PI / 3.0
 _SQ3 = math.sqrt(3.0)
 
-ACCEPT_DELTA = 1e-6       # relative variance decrease required to accept a root move
-SWEEP_GAIN = 5e-3         # keep sweeping while a polish pass gains this fraction
-ESCAPE_GAIN = 0.05        # joint two-triple move must drop the variance this much
-MAX_RESTARTS = 60
-STALL_RESTARTS = 36       # earliest restart count at which stagnation can stop the run
-STALL_WINDOW = 18         # hops without 1% best improvement that count as stagnation
+# Gauss-Newton needs a handful of steps near a regular root; a start that
+# has not converged in STEPS_PER_START is crawling and gives way to the next
+STEPS_PER_START = 60
+# a step that still fails after this many halvings ends the solve: near a
+# positive variance floor the steps only crawl, and a fresh start costs less
+HALVINGS = 8
 RESYNC_EVERY = 64
 
 
@@ -108,16 +110,14 @@ def barycentric_basis(y0):
     return linalg.householder_to(np.full(n, 1.0 / math.sqrt(n)), y0)
 
 
-def _random_stabilizer(n, rng):
-    """Haar random rotation fixing the all-ones direction.
+def _random_stabilizer(h, rng):
+    """Haar random rotation fixing the all-ones direction h[:, 0].
 
-    Determinant forced to +1 so the result stays in the component the
-    ones-axis rotations generate.
+    h is orthogonal; its other columns span the ones-complement. The
+    determinant is forced to +1 so every start lies in the identity's
+    component, which the Cayley steps never leave.
     """
-    ones_dir = np.full(n, 1.0 / math.sqrt(n))
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    h = linalg.householder_to(e1, ones_dir)
+    n = h.shape[0]
     r = linalg.random_orthogonal(n - 1, rng)
     if np.linalg.det(r) < 0.0:
         r[:, 0] = -r[:, 0]
@@ -202,7 +202,8 @@ def equalize_diagonal(m, tol=1e-12):
 
 
 class StabilizerState:
-    """Bookkeeping for the constrained equalizer: V, W = V^T M V, counters."""
+    """A stabilizer frame V moved by ones-axis rotations, with W = V^T M V
+    kept in step: the state of the oracle's facet explorer."""
 
     def __init__(self, m, t):
         self.m = m
@@ -236,57 +237,6 @@ class StabilizerState:
         self.w = linalg.sym_matrix(self.v.T @ self.m @ self.v)
         self._since_resync = 0
 
-    def snapshot(self):
-        return (self.v.copy(), self.applied)
-
-    def restore(self, snap):
-        # rolls the rotation counter back too: probes that get reverted
-        # must not eat the budget
-        v, applied = snap
-        self.v = v.copy()
-        self.applied = applied
-        self.resync()
-
-    def reset_from(self, vmatrix):
-        """Replace the frame, keep the counters."""
-        self.v = vmatrix.copy()
-        self.resync()
-
-
-def _root_candidates(b6):
-    """All equalizing angles over the three cyclic subintervals of [0, 2pi]."""
-    wpp, wqq, wrr = b6[0], b6[1], b6[2]
-
-    def f(theta):
-        dp, dq, _ = diag_after(b6, theta)
-        return dp - dq
-
-    # endpoint values of f at 0, 2pi/3, 4pi/3, 2pi are cyclic permutations
-    f_ends = [wpp - wqq, wqq - wrr, wrr - wpp, wpp - wqq]
-    ends = [0.0, THIRD, 2.0 * THIRD, TWO_PI]
-    roots = []
-    for k in range(3):
-        f_lo, f_hi = f_ends[k], f_ends[k + 1]
-        if f_lo == 0.0:
-            roots.append(ends[k])
-        elif (f_lo < 0.0) != (f_hi < 0.0) or f_hi == 0.0:
-            roots.append(linalg.bracketed_root(f, ends[k], ends[k + 1], f_lo, f_hi))
-    return roots
-
-
-def _best_root_move(state, p, q, r):
-    """Lowest-variance equalizing rotation for the triple, or None."""
-    b6 = state.block6(p, q, r)
-    t = state.t
-    rest = state.psi() - sum((x - t) ** 2 for x in (b6[0], b6[1], b6[2]))
-    best = None
-    for theta in _root_candidates(b6):
-        dp, dq, dr = diag_after(b6, theta)
-        psi_new = rest + (dp - t) ** 2 + (dq - t) ** 2 + (dr - t) ** 2
-        if best is None or psi_new < best[1]:
-            best = (theta, psi_new)
-    return best
-
 
 def triple_min(state, p, q, r):
     """Global minimizer (theta, new variance) of the triple's rotation, or None.
@@ -308,113 +258,59 @@ def triple_min(state, p, q, r):
     return theta, state.psi() - contribution(0.0) + val
 
 
-def _newton_finish(state, thresh, max_steps=12):
-    """Gauss-Newton endgame on n-1 composed rotation angles.
+def diag_residual(m, t, q):
+    """Residual diag(V^T M V) - t with its Jacobian, for gauss_newton_frame.
 
-    Single-triple sweeps converge linearly with a rate set by the local
-    conditioning, which for n=4 is routinely bad enough to stall them ten
-    orders above the threshold. Near a regular root of the deviation map
-    the square Newton system converges quadratically instead. The frame
-    stays a product of ones-axis rotations: the step is realized by
-    applying the n-1 solved rotations.
+    Along Omega_ab the diagonal moves by 2 diag(W Omega_ab), W = V^T M V,
+    which is 2 (P[:, a] * q_b - P[:, b] * q_a) with P = W Q.
     """
-    n = state.n
-    if n < 4:
-        return False
-    trips = [(i, (i + 1) % n, (i + 2) % n) for i in range(n - 1)]
-    m = len(trips)
-    base = state.snapshot()
-    base_psi = state.psi()
-    t = state.t
-    h = 1e-6
+    a, b = np.triu_indices(q.shape[1], 1)
+    qa, qb = q[:, a], q[:, b]
 
-    def land_on(theta):
-        state.restore(base)
-        for (p, q, r), th in zip(trips, theta):
-            if th != 0.0:
-                state.apply(p, q, r, float(th))
+    def residual(v):
+        w = v.T @ m @ v
+        p = w @ q
+        return np.diag(w) - t, 2.0 * (p[:, a] * qb - p[:, b] * qa)
 
-    def residual(theta):
-        land_on(theta)
-        dev = np.diag(state.w) - t
-        return dev[: n - 1].copy(), float(dev @ dev)
+    return residual
 
-    theta = np.zeros(m)
-    best_theta, best_psi = None, base_psi
-    r0, psi_now = residual(theta)
-    for _ in range(max_steps):
-        jac = np.empty((n - 1, m))
-        for j in range(m):
-            probe = theta.copy()
-            probe[j] += h
-            r_plus, _ = residual(probe)
-            probe[j] -= 2.0 * h
-            r_minus, _ = residual(probe)
-            jac[:, j] = (r_plus - r_minus) / (2.0 * h)
-        step = np.linalg.lstsq(jac, -r0, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
-            break
-        improved = False
-        for alpha in (1.0, 0.5, 0.25, 0.125, 1.0 / 16.0):
-            r_try, psi_try = residual(theta + alpha * step)
-            if psi_try < psi_now:
-                theta = theta + alpha * step
-                r0, psi_now = r_try, psi_try
-                improved = True
+
+def gauss_newton_frame(v, q, residual, thresh, max_steps):
+    """Riemannian Gauss-Newton for a residual of an orthogonal frame.
+
+    The frame moves as V <- V cay(Q S Q^T), S skew and cay the Cayley
+    retraction, so V only turns within the span of q's orthonormal columns;
+    with q a basis of the ones-complement every iterate fixes the ones
+    vector. residual(v) returns r(V) and its Jacobian, whose columns are
+    the derivatives along Omega_ab = q_a q_b^T - q_b q_a^T for the pairs
+    a < b in np.triu_indices order. Each step is the minimum-norm
+    Gauss-Newton step, halved until psi = ||r||^2 drops. Stops at
+    psi <= thresh, after max_steps steps, or when HALVINGS halvings do not
+    help.
+
+    Returns (V, psi, steps taken).
+    """
+    a, b = np.triu_indices(q.shape[1], 1)
+    eye = np.eye(v.shape[0])
+    r, jac = residual(v)
+    psi = float(r @ r)
+    steps = 0
+    while psi > thresh and steps < max_steps:
+        s = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        x = (q[:, a] * s) @ q[:, b].T  # Q S Q^T = sum over a < b of s_ab Omega_ab
+        x = x - x.T
+        for _ in range(HALVINGS):
+            v_try = v @ np.linalg.solve(eye - 0.5 * x, eye + 0.5 * x)
+            r_try, jac_try = residual(v_try)
+            psi_try = float(r_try @ r_try)
+            if psi_try < psi:
                 break
-        if improved and psi_now < best_psi:
-            best_theta, best_psi = theta.copy(), psi_now
-        if not improved or psi_now <= 0.01 * thresh:
+            x = 0.5 * x
+        else:
             break
-    if best_theta is not None and (
-        best_psi <= thresh or best_psi < base_psi * (1.0 - ESCAPE_GAIN)
-    ):
-        land_on(best_theta)
-        state.resync()
-        return True
-    state.restore(base)
-    return False
-
-
-def _pair_escape(state):
-    """Joint move over two rotation triples.
-
-    Coordinate-wise minima can trap the sweep (the n=4 stabilizer is only
-    3-dimensional, so they do in practice); a coarse grid on one angle with
-    exact minimization on a second triple descends through most of them.
-    The accepted burst is still a product of ones-axis rotations.
-    """
-    n = state.n
-    triples = list(combinations(range(n), 3))
-    base_psi = state.psi()
-    keep = state.snapshot()
-    dev = np.abs(np.diag(state.w) - state.t)
-    by_dev = sorted(triples, key=lambda tr: -max(dev[list(tr)]))
-    first = by_dev if n == 4 else by_dev[:6]
-    second_pool = by_dev[:8]
-    grid = np.arange(1, 24) * (TWO_PI / 24.0)
-    best = None
-    for t1 in first:
-        for th1 in grid:
-            state.apply(t1[0], t1[1], t1[2], float(th1))
-            for t2 in second_pool:
-                if t2 == t1:
-                    continue
-                found = triple_min(state, t2[0], t2[1], t2[2])
-                if found is None:
-                    continue
-                mid = state.snapshot()
-                state.apply(t2[0], t2[1], t2[2], found[0])
-                ps = state.psi()
-                if best is None or ps < best[0]:
-                    best = (ps, state.snapshot())
-                state.restore(mid)
-            state.restore(keep)
-    if best is not None and best[0] < base_psi * (1.0 - ESCAPE_GAIN):
-        state.restore(best[1])
-        return True
-    state.restore(keep)
-    return False
+        v, r, jac, psi = v_try, r_try, jac_try, psi_try
+        steps += 1
+    return v, psi, steps
 
 
 def equalize_diagonal_barycentric(
@@ -423,15 +319,15 @@ def equalize_diagonal_barycentric(
     """Equalize diag(V^T M V) with V in the stabilizer of the all-ones vector.
 
     M must be symmetric with constant row sums (then the all-ones direction
-    is an eigenvector and stays one throughout). Moves are rotations about
-    e_p + e_q + e_r axes: equalizing roots of d_p - d_q first, exact
-    per-triple variance minimization when those stall, and random
-    basin-hopping kicks from the best frame as a last resort.
+    is an eigenvector and stays one throughout). gauss_newton_frame runs
+    from the identity, then from seeded random stabilizer elements, at most
+    STEPS_PER_START steps each, until the variance is under the threshold
+    or max_iter steps are spent (a start costs at least one).
 
     Raises NotConverged with the best report attached when the variance
     floor of the instance is above the threshold; for n=3 that floor is
     provably invariant on the whole stabilizer orbit, so the failure is
-    detected immediately instead of after max_iter rotations.
+    reported at once, for the identity frame.
     """
     m = linalg.sym_matrix(m)
     n = m.shape[0]
@@ -454,140 +350,40 @@ def equalize_diagonal_barycentric(
     t = float(np.trace(m)) / n
     thresh = (tol * (1.0 + abs(t))) ** 2
     rng = np.random.default_rng(seed)
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    h = linalg.householder_to(e1, np.full(n, 1.0 / math.sqrt(n)))
+    q = h[:, 1:]
+    residual = diag_residual(m, t, q)
 
-    state = StabilizerState(m, t)
-    psi0 = state.psi()
-    history = [psi0]
-    best_psi = psi0
-    best_snap = state.snapshot()
-    restarts = 0
-    best_at_restart = []
-
-    def note_progress():
-        nonlocal best_psi, best_snap
-        ps = state.psi()
-        if ps < best_psi:
-            best_psi = ps
-            best_snap = state.snapshot()
-            history.append(ps)
-
-    def converged_exactly():
-        state.resync()
-        if state.psi() <= thresh:
-            note_progress()
-            return True
-        return False
-
-    def try_root_moves():
-        d = np.diag(state.w)
-        psi = state.psi()
-        order = np.argsort(d - t)
-        pairs = [(int(order[-1]), int(order[0]))]
-        pairs += sorted(
-            ((int(i), int(j)) for i, j in combinations(range(n), 2)),
-            key=lambda ij: -abs(d[ij[0]] - d[ij[1]]),
+    best_v = np.eye(n)
+    dev = np.diag(m) - t
+    best_psi = float(dev @ dev)
+    history = [best_psi]
+    steps = 0
+    starts = 0
+    v = best_v
+    # for n=3 the variance is constant on the whole stabilizer orbit; no
+    # sequence of moves can improve it
+    while n > 3 and best_psi > thresh and steps < max_iter:
+        if starts:
+            v = _random_stabilizer(h, rng)
+        v, psi, used = gauss_newton_frame(
+            v, q, residual, thresh, min(STEPS_PER_START, max_iter - steps)
         )
-        offset = state.applied  # rotates the r cycle between visits
-        for p, q in pairs:
-            if abs(d[p] - d[q]) <= 1e-18 * (1.0 + abs(t)):
-                continue
-            rest = [k for k in range(n) if k not in (p, q)]
-            for j in range(len(rest)):
-                r = rest[(j + offset) % len(rest)]
-                move = _best_root_move(state, p, q, r)
-                if move is None:
-                    continue
-                theta, psi_new = move
-                if psi - psi_new >= ACCEPT_DELTA * psi:
-                    state.apply(p, q, r, theta)
-                    note_progress()
-                    return True
-        return False
+        steps += max(used, 1)
+        starts += 1
+        if psi < best_psi:
+            best_v, best_psi = v, psi
+            history.append(psi)
+    restarts = max(starts - 1, 0)
 
-    def polish_sweeps():
-        # the predicted minimum from the trig polynomial carries absolute
-        # error ~eps*scale^2, useless as an accept test near convergence;
-        # apply the move and keep it only if the recomputed variance drops
-        improved_any = False
-        for _ in range(200):
-            psi_start = state.psi()
-            if psi_start <= thresh:
-                break
-            for p, q, r in combinations(range(n), 3):
-                if state.applied >= max_iter:
-                    break
-                found = triple_min(state, p, q, r)
-                if found is None:
-                    continue
-                theta, _ = found
-                before = state.psi()
-                keep = state.snapshot()
-                state.apply(p, q, r, theta)
-                if state.psi() < before:
-                    note_progress()
-                    improved_any = True
-                else:
-                    state.restore(keep)
-            psi_end = state.psi()
-            if psi_end <= thresh or psi_start - psi_end < SWEEP_GAIN * psi_start:
-                break
-        return improved_any
-
-    while state.applied < max_iter:
-        if state.psi() <= thresh and converged_exactly():
-            break
-        moved = try_root_moves()
-        if state.psi() <= thresh and converged_exactly():
-            break
-        if moved:
-            continue
-        polish_sweeps()
-        if state.psi() <= thresh and converged_exactly():
-            break
-        # move-wise local minimum
-        if n == 3:
-            # the variance is constant on the whole stabilizer orbit; no
-            # sequence of moves can improve it
-            break
-        if _newton_finish(state, thresh):
-            note_progress()
-            continue
-        # joint moves crack traps the second-order step cannot (it needs a
-        # regular root nearby); their grid is too coarse for the endgame
-        if state.psi() > 1e4 * thresh and _pair_escape(state):
-            note_progress()
-            continue
-        if restarts >= MAX_RESTARTS:
-            break
-        best_at_restart.append(best_psi)
-        # For n=4 the constrained problem is always solvable and a restart
-        # costs milliseconds, so patience pays; for n >= 5 there are open
-        # sets of genuinely infeasible inputs and stagnation usually means
-        # the variance floor is positive.
-        if n >= 5 and restarts >= STALL_RESTARTS and len(best_at_restart) > STALL_WINDOW:
-            then = best_at_restart[-STALL_WINDOW - 1]
-            if best_psi > (1.0 - 1e-2) * then:
-                break
-        if restarts % 3 == 2:
-            # independent draw; jitter around the incumbent cannot leave
-            # a wide basin, a fresh stabilizer point can
-            state.reset_from(_random_stabilizer(n, rng))
-        else:
-            state.restore(best_snap)
-            for _ in range(1 + restarts % 3):
-                trip = rng.permutation(n)[:3]
-                state.apply(int(trip[0]), int(trip[1]), int(trip[2]), rng.uniform(0.0, TWO_PI))
-        restarts += 1
-
-    best_v = best_snap[0]
-    final_w = linalg.sym_matrix(best_v.T @ m @ best_v)
-    final_psi = float(np.sum((np.diag(final_w) - t) ** 2))
     report = EqualizationReport(
         V=best_v,
-        iterations=best_snap[1],
+        iterations=steps,
         variance_history=history,
-        converged=final_psi <= thresh,
-        final_variance=final_psi,
+        converged=best_psi <= thresh,
+        final_variance=best_psi,
         restarts=restarts,
         threshold=thresh,
     )
@@ -595,12 +391,12 @@ def equalize_diagonal_barycentric(
         if n == 3:
             msg = (
                 "diagonal variance is invariant along the stabilizer orbit for n=3; "
-                f"floor {final_psi:.6e} exceeds threshold {thresh:.1e}"
+                f"floor {best_psi:.6e} exceeds threshold {thresh:.1e}"
             )
         else:
             msg = (
-                f"variance floor {final_psi:.6e} not brought under {thresh:.1e} "
-                f"after {state.applied} rotations and {restarts} restarts"
+                f"variance floor {best_psi:.6e} not brought under {thresh:.1e} "
+                f"after {steps} solver steps and {restarts} restarts"
             )
         raise NotConverged(msg, report=report)
     return report

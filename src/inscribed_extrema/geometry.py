@@ -6,6 +6,7 @@ inscribed in E correspond exactly to orthotopes Q = B^{-1}P inscribed in the
 sphere, whose edge lengths satisfy sum(lambda_i^2) = 4.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,10 @@ class Parallelepiped:
     def __init__(self, v):
         self.V = linalg.as_square(np.asarray(v, dtype=float))
         self.n = self.V.shape[0]
+        # |det V| <= DET_REL_FLOOR ||V||^n, in logs so extreme scales cannot overflow
         scale = float(np.linalg.norm(self.V, 2))
-        if abs(np.linalg.det(self.V)) <= DET_REL_FLOOR * scale**self.n:
+        sign, logdet = np.linalg.slogdet(self.V)
+        if sign == 0 or logdet <= math.log(DET_REL_FLOOR) + self.n * math.log(scale):
             raise DegenerateParallelepiped("edge vectors are numerically dependent")
 
     def gram(self):

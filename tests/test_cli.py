@@ -255,26 +255,44 @@ def test_construct_impossible_vertex_facet_exits_2(tmp_path, capsys):
 
 def test_manifest_tolerances_match_the_flags(tmp_path, capsys):
     m = write_matrix(tmp_path, "a.json", [[1.0, 0.0], [0.0, 2.0]])
-    with pytest.raises(SystemExit):
-        cli.main(["bounds", "--help"])
-    flags = sorted(set(re.findall(r"--tol-[a-z-]+", capsys.readouterr().out)))
-    argv = ["bounds", "--matrix", m]
-    for k, flag in enumerate(flags):
-        argv += [flag, f"{k + 1}e-3"]
-    code, out, _ = run_cli(capsys, argv)
-    assert code == 0
-    recorded = json.loads(out)["manifest"]["tolerances"]
-    # every flag is recorded, and every recorded tolerance came from a flag
-    assert sorted(recorded.values()) == [(k + 1) * 1e-3 for k in range(len(flags))]
-    assert "ortho_tol" not in recorded
+    pe = tmp_path / "p.json"
+    pe.write_text(json.dumps({"n": 2, "edges": [[1.0, 0.0], [0.0, 1.0]]}))
+    y0 = write_vector(tmp_path, "y0.json", [0.6, 0.8])
+    # subcommand -> (arguments of a valid run, the tolerance flags it applies)
+    runs = {
+        "bounds": ([], []),
+        "construct": (["--functional", "edge", "--seed", "0"], ["--tol-equalizer"]),
+        "verify": (["--parallelepiped", str(pe)], ["--tol-inscribed"]),
+        "search": (["--functional", "edge", "--trials", "5", "--seed", "0"],
+                   ["--tol-bound-slack"]),
+        "equalize": (["--seed", "0"], ["--tol-equalizer"]),
+        "explore-rsh": (["--vertex", y0, "--functional", "edge", "--restarts", "1",
+                         "--iters", "5", "--seed", "0"], []),
+    }
+    for command, (args, applied) in runs.items():
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        flags = sorted(set(re.findall(r"--tol-[a-z-]+", capsys.readouterr().out)))
+        assert flags == sorted(applied), command
+        argv = [command, "--matrix", m] + args
+        for k, flag in enumerate(flags):
+            argv += [flag, f"{k + 1}e-3"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, command
+        recorded = json.loads(out)["manifest"]["tolerances"]
+        # every flag is recorded, and every recorded tolerance came from a flag
+        assert sorted(recorded.values()) == [(k + 1) * 1e-3 for k in range(len(flags))]
+        assert sorted(recorded) == sorted(cli.TOLERANCE_FLAGS[flag] for flag in flags)
 
 
 def test_tol_ortho_flag_rejected(tmp_path, capsys):
     m = write_matrix(tmp_path, "a.json", [[1.0, 0.0], [0.0, 2.0]])
-    with pytest.raises(SystemExit) as stop:
-        cli.main(["bounds", "--matrix", m, "--tol-ortho", "1e-3"])
-    assert stop.value.code == 2
-    assert "--tol-ortho" in capsys.readouterr().err
+    # --tol-ortho exists nowhere; --tol-equalizer exists, but bounds applies no tolerance
+    for flag in ("--tol-ortho", "--tol-equalizer"):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["bounds", "--matrix", m, flag, "1e-3"])
+        assert stop.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -316,6 +334,18 @@ def test_non_finite_inputs_rejected(tmp_path, capsys, text):
 def test_non_finite_result_refused_not_printed(tmp_path, capsys):
     m = write_matrix(tmp_path, "a.json", [[1e308, 1e308], [1e308, 1e308]])
     code, out, err = run_cli(capsys, ["bounds", "--matrix", m])
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
+def test_huge_ball_determinant_floor_does_not_overflow(tmp_path, capsys):
+    # ||V||^n overflows a float at this scale; the floor is compared in logs
+    m = write_matrix(tmp_path, "a.json", (1e200 * np.eye(8)).tolist())
+    code, out, _ = run_cli(capsys, ["construct", "--matrix", m, "--functional", "edge"])
+    assert code == 0
+    assert abs(json.loads(out)["result"]["certificate"]["relative_gap"]) < 1e-12
+    code, out, err = run_cli(capsys, ["construct", "--matrix", m, "--functional", "facet"])
     assert code == 1
     assert out == ""
     assert "not finite" in err

@@ -10,9 +10,12 @@ from inscribed_extrema import (
     barycentric_basis,
     equalize_diagonal,
     equalize_diagonal_barycentric,
+    householder_to,
     random_orthogonal,
     rotation_about_ones_axis,
 )
+from inscribed_extrema.constructors import _restricted_l_residual
+from inscribed_extrema.equalizer import diag_residual
 
 ONES_TOL = 1e-12
 
@@ -192,3 +195,60 @@ def test_barycentric_respects_max_iter():
         assert rep.iterations <= 30
     except NotConverged as exc:
         assert exc.report.iterations <= 30
+
+
+# Restricted spectrum (-0.8806, -0.8797, 4.0727): the two close eigenvalues
+# make most starts stall, so the solve needs tens of restarts.
+NEAR_DEGENERATE_4 = [
+    [-0.3278094623430107, -1.4361053375787791, 0.8897039731120989, -0.499051200333102],
+    [-1.4361053375787791, 1.5472220040436826, -2.090715899270413, 0.6063372056627169],
+    [0.8897039731120989, -2.090715899270413, 0.5140403777242482, -0.6862904787087271],
+    [-0.499051200333102, 0.6063372056627169, -0.6862904787087271, -0.7942575537636803],
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_barycentric_near_degenerate_n4_converges(seed):
+    m = np.array(NEAR_DEGENERATE_4)
+    rep = equalize_diagonal_barycentric(m, tol=1e-9, seed=seed)
+    assert rep.converged
+    assert np.max(np.abs(rep.V @ np.ones(4) - 1.0)) <= 1e-12
+
+
+# ------------------------------------------------------- Gauss-Newton solver
+
+
+def _central_difference_jacobian(residual, v, q, h=1e-6):
+    """Columns d r(V cay(h Omega_ab)) / dh by central differences."""
+    n, k = q.shape
+    cols = []
+    for a, b in zip(*np.triu_indices(k, 1)):
+        omega = np.outer(q[:, a], q[:, b]) - np.outer(q[:, b], q[:, a])
+        turns = [np.linalg.solve(np.eye(n) - 0.5 * s * omega, np.eye(n) + 0.5 * s * omega)
+                 for s in (h, -h)]
+        cols.append((residual(v @ turns[0])[0] - residual(v @ turns[1])[0]) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def test_diag_residual_jacobian_matches_central_differences():
+    rng = np.random.default_rng(8)
+    for n in (3, 4, 6):
+        m = random_symmetric(n, rng)
+        e1 = np.zeros(n)
+        e1[0] = 1.0
+        for q in (np.eye(n), householder_to(e1, np.full(n, n**-0.5))[:, 1:]):
+            residual = diag_residual(m, float(np.trace(m)) / n, q)
+            v = random_orthogonal(n, rng)
+            jac = residual(v)[1]
+            assert_allclose(jac, _central_difference_jacobian(residual, v, q), atol=1e-7)
+
+
+def test_restricted_l_residual_jacobian_matches_central_differences():
+    rng = np.random.default_rng(9)
+    for n in (3, 5):
+        g = rng.normal(size=(n, n))
+        y0 = rng.normal(size=n)
+        residual = _restricted_l_residual(g @ g.T + n * np.eye(n), y0 / np.linalg.norm(y0))
+        v = random_orthogonal(n, rng)
+        jac = residual(v)[1]
+        assert_allclose(jac, _central_difference_jacobian(residual, v, np.eye(n)), atol=1e-6)
