@@ -20,11 +20,9 @@ from .constructors import (
 )
 from .equalizer import (
     EqualizationReport,
-    RotationTriple,
     barycentric_basis,
     equalize_diagonal,
     equalize_diagonal_barycentric,
-    rotation_about_ones_axis,
 )
 from .errors import (
     ConstraintViolated,

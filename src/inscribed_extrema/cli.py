@@ -275,8 +275,7 @@ def _cmd_explore_rsh(args):
     a = _load_matrix(args.matrix)
     y0 = _load_vector(args.vertex)
     report = explore_restricted_schur_horn(
-        a, y0, FUNCTIONAL_NAMES[args.functional],
-        restarts=args.restarts, iters=args.iters, seed=seed,
+        a, y0, FUNCTIONAL_NAMES[args.functional], restarts=args.restarts, seed=seed
     )
     return 0, report.to_dict(), None
 
@@ -340,7 +339,6 @@ def build_parser():
     sp.add_argument("--vertex", required=True, help="unit vector y0 (JSON vector file)")
     sp.add_argument("--functional", choices=("edge", "facet"), required=True)
     sp.add_argument("--restarts", type=int, default=8)
-    sp.add_argument("--iters", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=None)
     _add_tolerance_flags(sp)
     sp.set_defaults(run=_cmd_explore_rsh)

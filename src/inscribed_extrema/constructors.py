@@ -2,9 +2,12 @@
 
 Global maximizers for both functionals, and vertex-constrained maximizers in
 the cases with a known construction: any boundary point for n=2, eigenvector
-boundary points for n >= 3. The general vertex-constrained case for n >= 3
-is open; the dispatcher routes it to UnsupportedCase and the oracle explorer
-gathers evidence instead.
+boundary points for n >= 3. The eigenvector routes solve their diagonal
+conditions with equalizer.gauss_newton_frame; for n = 3 edge length that is
+the free-z residual equalizer.restricted_l_residual. The general
+vertex-constrained case for n >= 3 is open; the dispatcher routes it to
+UnsupportedCase and the oracle explorer, on the same solver, gathers
+evidence instead.
 """
 
 import math
@@ -252,28 +255,6 @@ def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     return q, cert
 
 
-def _restricted_l_residual(a_mat, y0):
-    """Residual diag(U^T A U) - tr(A) z*z, z = U^T y0, with its Jacobian over
-    all frame rotations (q = I), for equalizer.gauss_newton_frame.
-
-    Along Omega_ab, z moves by -Omega_ab z, which adds
-    2 tr(A) z * (Omega_ab z) to the Jacobian of the diagonal.
-    """
-    n = a_mat.shape[0]
-    tr_a = float(np.trace(a_mat))
-    eye = np.eye(n)
-    a, b = np.triu_indices(n, 1)
-    diagonal = equalizer.diag_residual(a_mat, 0.0, eye)
-
-    def residual(u):
-        r, jac = diagonal(u)
-        z = u.T @ y0
-        omega_z = eye[:, a] * z[b] - eye[:, b] * z[a]
-        return r - tr_a * z * z, jac + 2.0 * tr_a * z[:, None] * omega_z
-
-    return residual
-
-
 def _solve_restricted_l_3d(e, y0, seed, max_starts=60):
     """diag(U^T A U) = tr(A) (U^T y0)^2 solved directly for n = 3.
 
@@ -283,7 +264,7 @@ def _solve_restricted_l_3d(e, y0, seed, max_starts=60):
     (they cannot carry a nondegenerate parallelepiped).
     """
     thresh = (1e-12 * (1.0 + float(np.trace(e.A)))) ** 2
-    residual = _restricted_l_residual(e.A, y0)
+    residual = equalizer.restricted_l_residual(e.A, y0)
     eye = np.eye(3)
     g = linalg.givens
     rng = np.random.default_rng(seed)

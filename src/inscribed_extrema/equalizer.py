@@ -16,8 +16,9 @@ Two regimes:
   reports the best frame found and raises NotConverged honestly in those
   cases.
 
-StabilizerState, diag_after and triple_min move the frame by rotations about
-(e_p+e_q+e_r)/sqrt(3) axes; the oracle's facet explorer is built on them.
+gauss_newton_frame is the one solver for diagonal prescriptions on a frame:
+the barycentric equalizer, the n = 3 vertex construction (with the free-z
+residual restricted_l_residual) and the oracle's explorer all call it.
 """
 
 import math
@@ -29,27 +30,13 @@ from . import linalg
 from .config import DEFAULT_TOLERANCES
 from .errors import DimensionTooSmall, NotConverged, NotRowConstant
 
-_SQ3 = math.sqrt(3.0)
-
 # Gauss-Newton needs a handful of steps near a regular root; a start that
 # has not converged in STEPS_PER_START is crawling and gives way to the next
 STEPS_PER_START = 60
-# a step that still fails after this many halvings ends the solve: near a
-# positive variance floor the steps only crawl, and a fresh start costs less
-HALVINGS = 8
-RESYNC_EVERY = 64
-
-
-@dataclass(frozen=True)
-class RotationTriple:
-    p: int
-    q: int
-    r: int
-    theta: float
-
-    def __post_init__(self):
-        if len({self.p, self.q, self.r}) != 3:
-            raise IndexError("triple indices must be pairwise distinct")
+# consecutive rejected steps that end a start: each rejection damps the
+# step 4x harder, so the last one tried is already tiny; near a positive
+# floor the steps only crawl, and a fresh start costs less
+MAX_REJECTS = 8
 
 
 @dataclass
@@ -74,31 +61,6 @@ class EqualizationReport:
         }
 
 
-def _triple_block(theta):
-    """Rotation by theta about (1,1,1)/sqrt(3), as a 3x3 block."""
-    c = math.cos(theta)
-    s = math.sin(theta) / _SQ3
-    d = (1.0 - c) / 3.0
-    return np.array(
-        [
-            [c + d, d - s, s + d],
-            [s + d, c + d, d - s],
-            [d - s, s + d, c + d],
-        ]
-    )
-
-
-def rotation_about_ones_axis(n, triple):
-    """Embed the triple rotation in dimension n; fixes 1 and all other axes."""
-    for i in (triple.p, triple.q, triple.r):
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for dimension {n}")
-    rot = np.eye(n)
-    idx = [triple.p, triple.q, triple.r]
-    rot[np.ix_(idx, idx)] = _triple_block(triple.theta)
-    return rot
-
-
 def barycentric_basis(y0):
     """Orthonormal frame whose columns average to y0/sqrt(n) rescaled.
 
@@ -110,11 +72,18 @@ def barycentric_basis(y0):
     return linalg.householder_to(np.full(n, 1.0 / math.sqrt(n)), y0)
 
 
-def _random_stabilizer(h, rng):
+def ones_frame(n):
+    """Rotation h whose first column is the unit all-ones vector; h[:, 1:]
+    is an orthonormal basis of the ones-complement."""
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    return linalg.householder_to(e1, np.full(n, 1.0 / math.sqrt(n)))
+
+
+def random_stabilizer(h, rng):
     """Haar random rotation fixing the all-ones direction h[:, 0].
 
-    h is orthogonal; its other columns span the ones-complement. The
-    determinant is forced to +1 so every start lies in the identity's
+    h is ones_frame(n). The determinant is forced to +1 so every start lies in the identity's
     component, which the Cayley steps never leave.
     """
     n = h.shape[0]
@@ -124,34 +93,6 @@ def _random_stabilizer(h, rng):
     block = np.eye(n)
     block[1:, 1:] = r
     return h @ block @ h.T
-
-
-def diag_after(b, theta):
-    """New (d_p, d_q, d_r) after rotating the symmetric 3x3 block b by theta.
-
-    b = (wpp, wqq, wrr, wpq, wpr, wqr). Quadratic forms of the rotation's
-    columns; scalar arithmetic on purpose, this sits in the innermost loop.
-    """
-    wpp, wqq, wrr, wpq, wpr, wqr = b
-    c = math.cos(theta)
-    s = math.sin(theta) / _SQ3
-    d = (1.0 - c) / 3.0
-    a0, a1, a2 = c + d, s + d, d - s
-    dp = (
-        wpp * a0 * a0 + wqq * a1 * a1 + wrr * a2 * a2
-        + 2.0 * (wpq * a0 * a1 + wpr * a0 * a2 + wqr * a1 * a2)
-    )
-    b0, b1, b2 = d - s, c + d, s + d
-    dq = (
-        wpp * b0 * b0 + wqq * b1 * b1 + wrr * b2 * b2
-        + 2.0 * (wpq * b0 * b1 + wpr * b0 * b2 + wqr * b1 * b2)
-    )
-    c0, c1, c2 = s + d, d - s, c + d
-    dr = (
-        wpp * c0 * c0 + wqq * c1 * c1 + wrr * c2 * c2
-        + 2.0 * (wpq * c0 * c1 + wpr * c0 * c2 + wqr * c1 * c2)
-    )
-    return dp, dq, dr
 
 
 def equalize_diagonal(m, tol=1e-12):
@@ -201,63 +142,6 @@ def equalize_diagonal(m, tol=1e-12):
     )
 
 
-class StabilizerState:
-    """A stabilizer frame V moved by ones-axis rotations, with W = V^T M V
-    kept in step: the state of the oracle's facet explorer."""
-
-    def __init__(self, m, t):
-        self.m = m
-        self.n = m.shape[0]
-        self.t = t
-        self.v = np.eye(self.n)
-        self.w = m.copy()
-        self.applied = 0
-        self._since_resync = 0
-
-    def psi(self):
-        dev = np.diag(self.w) - self.t
-        return float(dev @ dev)
-
-    def block6(self, p, q, r):
-        w = self.w
-        return (w[p, p], w[q, q], w[r, r], w[p, q], w[p, r], w[q, r])
-
-    def apply(self, p, q, r, theta):
-        block = _triple_block(theta)
-        idx = [p, q, r]
-        self.v[:, idx] = self.v[:, idx] @ block
-        self.w[:, idx] = self.w[:, idx] @ block
-        self.w[idx, :] = block.T @ self.w[idx, :]
-        self.applied += 1
-        self._since_resync += 1
-        if self._since_resync >= RESYNC_EVERY:
-            self.resync()
-
-    def resync(self):
-        self.w = linalg.sym_matrix(self.v.T @ self.m @ self.v)
-        self._since_resync = 0
-
-
-def triple_min(state, p, q, r):
-    """Global minimizer (theta, new variance) of the triple's rotation, or None.
-
-    The triple's variance contribution is a trigonometric polynomial of
-    degree <= 4 in theta, which linalg.trig_argmin minimizes exactly.
-    """
-    b6 = state.block6(p, q, r)
-    t = state.t
-
-    def contribution(theta):
-        dp, dq, dr = diag_after(b6, theta)
-        return (dp - t) ** 2 + (dq - t) ** 2 + (dr - t) ** 2
-
-    found = linalg.trig_argmin(contribution)
-    if found is None:
-        return None
-    theta, val = found
-    return theta, state.psi() - contribution(0.0) + val
-
-
 def diag_residual(m, t, q):
     """Residual diag(V^T M V) - t with its Jacobian, for gauss_newton_frame.
 
@@ -275,41 +159,76 @@ def diag_residual(m, t, q):
     return residual
 
 
+def restricted_l_residual(a_mat, y0):
+    """Residual diag(U^T A U) - tr(A) z*z, z = U^T y0, with its Jacobian over
+    all frame rotations (q = I), for gauss_newton_frame.
+
+    Along Omega_ab, z moves by -Omega_ab z, which adds
+    2 tr(A) z * (Omega_ab z) to the Jacobian of the diagonal.
+    """
+    n = a_mat.shape[0]
+    tr_a = float(np.trace(a_mat))
+    eye = np.eye(n)
+    a, b = np.triu_indices(n, 1)
+    diagonal = diag_residual(a_mat, 0.0, eye)
+
+    def residual(u):
+        r, jac = diagonal(u)
+        z = u.T @ y0
+        omega_z = eye[:, a] * z[b] - eye[:, b] * z[a]
+        return r - tr_a * z * z, jac + 2.0 * tr_a * z[:, None] * omega_z
+
+    return residual
+
+
 def gauss_newton_frame(v, q, residual, thresh, max_steps):
-    """Riemannian Gauss-Newton for a residual of an orthogonal frame.
+    """Riemannian Gauss-Newton with Levenberg-Marquardt damping for a
+    residual of an orthogonal frame.
 
     The frame moves as V <- V cay(Q S Q^T), S skew and cay the Cayley
     retraction, so V only turns within the span of q's orthonormal columns;
     with q a basis of the ones-complement every iterate fixes the ones
-    vector. residual(v) returns r(V) and its Jacobian, whose columns are
+    vector. residual(v) returns r(V) and its Jacobian J, whose k columns are
     the derivatives along Omega_ab = q_a q_b^T - q_b q_a^T for the pairs
-    a < b in np.triu_indices order. Each step is the minimum-norm
-    Gauss-Newton step, halved until psi = ||r||^2 drops. Stops at
-    psi <= thresh, after max_steps steps, or when HALVINGS halvings do not
-    help.
+    a < b in np.triu_indices order. Each step solves
+    (J^T J + mu I) s = -J^T r; at mu = 0 that is the minimum-norm
+    Gauss-Newton step. A step is accepted when psi = ||r||^2 drops, and then
+    mu shrinks 3x; a rejected step grows mu 4x, or sets it to
+    1e-3 ||J||_F^2 / k when it is 0. The damping keeps the solver moving
+    where r != 0 makes the dropped second-order term matter (Marquardt,
+    SIAM J. Appl. Math. 11, 1963). Stops at psi <= thresh, after max_steps
+    accepted steps, or after MAX_REJECTS rejections in a row.
 
-    Returns (V, psi, steps taken).
+    Returns (V, psi, accepted steps).
     """
     a, b = np.triu_indices(q.shape[1], 1)
     eye = np.eye(v.shape[0])
     r, jac = residual(v)
     psi = float(r @ r)
-    steps = 0
-    while psi > thresh and steps < max_steps:
-        s = np.linalg.lstsq(jac, -r, rcond=None)[0]
+    mu = 0.0
+    steps = rejects = 0
+    # with one column, q admits no rotation (the n = 2 stabilizer is trivial)
+    while a.size and psi > thresh and steps < max_steps and rejects < MAX_REJECTS:
+        if not rejects:
+            # one SVD per point serves every damping tried there
+            left, sig, right = np.linalg.svd(jac, full_matrices=False)
+            jac_sq = float(sig @ sig)
+            keep = sig > np.finfo(float).eps * max(jac.shape) * sig[0]  # lstsq's rank cutoff
+            sig, right, coef = sig[keep], right[keep], left[:, keep].T @ r
+        s = -right.T @ (coef * sig / (sig * sig + mu))
         x = (q[:, a] * s) @ q[:, b].T  # Q S Q^T = sum over a < b of s_ab Omega_ab
         x = x - x.T
-        for _ in range(HALVINGS):
-            v_try = v @ np.linalg.solve(eye - 0.5 * x, eye + 0.5 * x)
-            r_try, jac_try = residual(v_try)
-            psi_try = float(r_try @ r_try)
-            if psi_try < psi:
-                break
-            x = 0.5 * x
+        v_try = v @ np.linalg.solve(eye - 0.5 * x, eye + 0.5 * x)
+        r_try, jac_try = residual(v_try)
+        psi_try = float(r_try @ r_try)
+        if psi_try < psi:
+            v, r, jac, psi = v_try, r_try, jac_try, psi_try
+            mu /= 3.0
+            steps += 1
+            rejects = 0
         else:
-            break
-        v, r, jac, psi = v_try, r_try, jac_try, psi_try
-        steps += 1
+            mu = 4.0 * mu if mu else 1e-3 * jac_sq / len(a)
+            rejects += 1
     return v, psi, steps
 
 
@@ -350,9 +269,7 @@ def equalize_diagonal_barycentric(
     t = float(np.trace(m)) / n
     thresh = (tol * (1.0 + abs(t))) ** 2
     rng = np.random.default_rng(seed)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    h = linalg.householder_to(e1, np.full(n, 1.0 / math.sqrt(n)))
+    h = ones_frame(n)
     q = h[:, 1:]
     residual = diag_residual(m, t, q)
 
@@ -367,7 +284,7 @@ def equalize_diagonal_barycentric(
     # sequence of moves can improve it
     while n > 3 and best_psi > thresh and steps < max_iter:
         if starts:
-            v = _random_stabilizer(h, rng)
+            v = random_stabilizer(h, rng)
         v, psi, used = gauss_newton_frame(
             v, q, residual, thresh, min(STEPS_PER_START, max_iter - steps)
         )

@@ -1,9 +1,8 @@
 """Dense kernels for small n (n <= ~16), each with one implementation.
 
-Symmetric/orthogonal validation, Haar sampling, Givens rotations, the
-bracketed scalar root and the trig-polynomial argmin. Everything operates on
-plain float64 ndarrays. Validation helpers return the cleaned-up array so
-callers can chain them.
+Symmetric/orthogonal validation, Haar sampling, Givens rotations and the
+bracketed scalar root. Everything operates on plain float64 ndarrays.
+Validation helpers return the cleaned-up array so callers can chain them.
 """
 
 import math
@@ -167,31 +166,3 @@ def bracketed_root(f, lo, hi, f_lo, f_hi):
         xp, fxp = x, fx
         x, fx = xn, f(xn)
     return x
-
-
-def trig_argmin(fun):
-    """Global minimizer (theta, fun(theta)) of a trig polynomial with harmonics <= 4.
-
-    16 samples pin the coefficients; the derivative's critical points are the
-    unit-circle roots of a degree-8 polynomial in z = exp(i theta). Returns
-    None when the polynomial is constant or has no critical point on the
-    circle.
-    """
-    thetas = np.arange(16) * (2.0 * math.pi / 16.0)
-    samples = np.array([fun(float(t)) for t in thetas])
-    coeff = np.fft.fft(samples) / 16.0
-    # z^4 * h'(theta) has coefficients i k c_k for k = -4..4
-    poly = np.array([1j * (4 - j) * coeff[(4 - j) % 16] for j in range(9)])
-    top = np.max(np.abs(poly))
-    if top == 0.0:
-        return None
-    poly = poly[np.argmax(np.abs(poly) > 1e-14 * top):]
-    if poly.size < 2:
-        return None
-    z = np.roots(poly)
-    best = None
-    for t in np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]).real:
-        v = fun(float(t))
-        if best is None or v < best[1]:
-            best = (float(t), v)
-    return best

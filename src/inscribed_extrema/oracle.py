@@ -1,22 +1,22 @@
 """Stochastic verification against the closed-form bounds, a numerical
-explorer for the restricted diagonal-prescription problem, and two
-diagnostics (first-order stationarity, tangent-normal dump).
+explorer for the restricted diagonal-prescription problem (multistart runs
+of the equalizer's frame solver), and two diagnostics (first-order
+stationarity, tangent-normal dump).
 
 Per-trial randomness comes from counter-based streams default_rng((seed,
 trial)), so results are independent of chunking and execution order. Trials
 are evaluated in fixed-size chunks purely for numpy throughput.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from . import functionals, geometry, linalg
+from . import equalizer, functionals, geometry, linalg
 from .config import DEFAULT_TOLERANCES
 from .constructors import VertexConstraint, vertex_lambdas
-from .equalizer import StabilizerState, barycentric_basis, diag_after, triple_min
 from .errors import NonPositiveInput, NotInscribed
 
 CHUNK = 2048
@@ -174,124 +174,45 @@ def random_search_vertex(
     return report
 
 
-def _rotate_cols(u, i, j, theta):
-    out = u.copy()
-    c, s = math.cos(theta), math.sin(theta)
-    out[:, i] = c * u[:, i] + s * u[:, j]
-    out[:, j] = -s * u[:, i] + c * u[:, j]
-    return out
-
-
-def _explore_edge(a, y0, restarts, iters, seed):
-    n = a.shape[0]
-    tr_a = float(np.trace(a))
-
-    def resid2(u):
-        z = u.T @ y0
-        r = functionals.diag_quadratic(u, a) - tr_a * z * z
-        return float(r @ r)
-
-    sigmas = np.geomspace(0.3, 1e-6, max(iters, 2))
-    best_u, best_r2 = np.eye(n), resid2(np.eye(n))
-    for rs in range(restarts):
-        rng = np.random.default_rng((seed, rs))
-        u = linalg.random_orthogonal(n, rng)
-        r2 = resid2(u)
-        for k in range(iters):
-            i = int(rng.integers(0, n - 1))
-            j = int(rng.integers(i + 1, n))
-            theta = float(sigmas[k] * rng.standard_normal())
-            u2 = _rotate_cols(u, i, j, theta)
-            r2_new = resid2(u2)
-            if r2_new < r2:
-                u, r2 = u2, r2_new
-        # coordinate sweeps with exact one-angle minimization
-        for _ in range(200):
-            start = r2
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    found = linalg.trig_argmin(lambda t: resid2(_rotate_cols(u, i, j, t)))
-                    if found is None:
-                        continue
-                    theta, val = found
-                    if val < r2 * (1.0 - 1e-14):
-                        u = _rotate_cols(u, i, j, theta)
-                        r2 = resid2(u)
-            if r2 >= start * (1.0 - 5e-3) or r2 < 1e-30:
-                break
-        if r2 < best_r2:
-            best_u, best_r2 = u.copy(), r2
-    return RshReport(
-        residual=math.sqrt(max(best_r2, 0.0)), U=best_u, target="edge_length",
-        restarts=restarts,
-    )
-
-
-def _explore_facet(a, y0, restarts, iters, seed):
-    n = a.shape[0]
-    c_mat = linalg.spd_inverse(a)
-    u0 = barycentric_basis(y0)
-    mt = linalg.sym_matrix(u0.T @ c_mat @ u0)
-    t = float(np.trace(mt)) / n
-    sigmas = np.geomspace(0.3, 1e-6, max(iters, 2))
-    base_state = StabilizerState(mt, t)
-    best_v, best_psi = base_state.v.copy(), base_state.psi()
-    for rs in range(restarts):
-        rng = np.random.default_rng((seed, rs))
-        state = StabilizerState(mt, t)
-        for _ in range(n):
-            trip = rng.permutation(n)[:3]
-            state.apply(int(trip[0]), int(trip[1]), int(trip[2]), rng.uniform(0.0, 2.0 * math.pi))
-        psi = state.psi()
-        for k in range(iters):
-            trip = rng.permutation(n)[:3]
-            p, q, r = int(trip[0]), int(trip[1]), int(trip[2])
-            theta = float(sigmas[k] * rng.standard_normal())
-            b6 = state.block6(p, q, r)
-            dp, dq, dr = diag_after(b6, theta)
-            rest = psi - (b6[0] - t) ** 2 - (b6[1] - t) ** 2 - (b6[2] - t) ** 2
-            psi_new = rest + (dp - t) ** 2 + (dq - t) ** 2 + (dr - t) ** 2
-            if psi_new < psi:
-                state.apply(p, q, r, theta)
-                psi = state.psi()
-        for _ in range(200):
-            start = state.psi()
-            for p, q, r in combinations(range(n), 3):
-                found = triple_min(state, p, q, r)
-                if found is None:
-                    continue
-                theta, psi_new = found
-                if psi_new < state.psi() * (1.0 - 1e-14):
-                    state.apply(p, q, r, theta)
-            psi = state.psi()
-            if psi >= start * (1.0 - 5e-3) or psi < 1e-30:
-                break
-        state.resync()
-        psi = state.psi()
-        if psi < best_psi:
-            best_v, best_psi = state.v.copy(), psi
-    return RshReport(
-        residual=math.sqrt(max(best_psi, 0.0)), U=u0 @ best_v, target="facet_area",
-        restarts=restarts,
-    )
-
-
-def explore_restricted_schur_horn(a, y0, target, restarts=8, iters=2000, seed=0):
+def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
     """Minimize the restricted diagonal-prescription residual over frames.
 
     target="edge_length": ||diag(U^T A U) - tr(A) z@z||_2 with z = U^T y0
-    free; annealed random plane rotations plus exact coordinate sweeps.
+    free, over all frames U.
     target="facet_area": same residual with M = A^-1 and z pinned to
     1/sqrt(n), i.e. frames U0 V with V in the stabilizer of the ones vector.
+    Each of the restarts seeded starts runs equalizer.gauss_newton_frame for
+    at most STEPS_PER_START steps; the identity is the baseline candidate.
     Reports the best residual found; no optimality claim.
     """
     a = linalg.spd_matrix(a)
     y0 = linalg.unit_vector(y0)
+    n = a.shape[0]
     if target == "edge_length":
-        return _explore_edge(a, y0, restarts, iters, seed)
-    if target == "facet_area":
-        return _explore_facet(a, y0, restarts, iters, seed)
-    raise ValueError(f"unknown target {target!r}")
+        u0 = q = np.eye(n)
+        residual = equalizer.restricted_l_residual(a, y0)
+        draw = functools.partial(linalg.random_orthogonal, n)
+    elif target == "facet_area":
+        u0 = equalizer.barycentric_basis(y0)
+        m = linalg.sym_matrix(u0.T @ linalg.spd_inverse(a) @ u0)
+        h = equalizer.ones_frame(n)
+        q = h[:, 1:]
+        residual = equalizer.diag_residual(m, float(np.trace(m)) / n, q)
+        draw = functools.partial(equalizer.random_stabilizer, h)
+    else:
+        raise ValueError(f"unknown target {target!r}")
+    r = residual(np.eye(n))[0]
+    best_v, best_psi = np.eye(n), float(r @ r)
+    for rs in range(restarts):
+        v, psi, _ = equalizer.gauss_newton_frame(
+            draw(np.random.default_rng((seed, rs))), q, residual, 0.0,
+            equalizer.STEPS_PER_START,
+        )
+        if psi < best_psi:
+            best_v, best_psi = v, psi
+    return RshReport(
+        residual=math.sqrt(best_psi), U=u0 @ best_v, target=target, restarts=restarts
+    )
 
 
 def stationarity_check(e, q, functional, h=1e-5):
@@ -311,8 +232,8 @@ def stationarity_check(e, q, functional, h=1e-5):
     worst = 0.0
     for i in range(n - 1):
         for j in range(i + 1, n):
-            up = value(_rotate_cols(u0, i, j, h), lam0)
-            um = value(_rotate_cols(u0, i, j, -h), lam0)
+            up = value(u0 @ linalg.givens(n, i, j, h), lam0)
+            um = value(u0 @ linalg.givens(n, i, j, -h), lam0)
             worst = max(worst, abs(up - um) / (2.0 * h))
     e1 = np.zeros(n)
     e1[0] = 1.0

@@ -204,13 +204,24 @@ def test_explore_rsh_edge_solvable(tmp_path, capsys):
     v = write_vector(tmp_path, "y0.json", [0.0, 0.0, 1.0])
     code, out, _ = run_cli(
         capsys, ["explore-rsh", "--matrix", m, "--vertex", v, "--functional", "edge",
-                 "--restarts", "4", "--iters", "600", "--seed", "1"]
+                 "--restarts", "4", "--seed", "1"]
     )
     assert code == 0
     res = json.loads(out)["result"]
     assert res["residual"] < 1e-8
     u = np.asarray(res["U"])
     assert np.max(np.abs(u.T @ u - np.eye(3))) < 1e-9
+
+
+def test_explore_rsh_iters_flag_rejected(tmp_path, capsys):
+    # the explorer's step budget is the solver's STEPS_PER_START, not a flag
+    m = write_matrix(tmp_path, "a.json", np.diag([1.0, 2.0, 3.0]).tolist())
+    v = write_vector(tmp_path, "y0.json", [0.0, 0.0, 1.0])
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["explore-rsh", "--matrix", m, "--vertex", v, "--functional", "edge",
+                  "--iters", "5"])
+    assert stop.value.code == 2
+    assert "--iters" in capsys.readouterr().err
 
 
 def test_output_file_atomic_and_clean(tmp_path, capsys):
@@ -267,7 +278,7 @@ def test_manifest_tolerances_match_the_flags(tmp_path, capsys):
                    ["--tol-bound-slack"]),
         "equalize": (["--seed", "0"], ["--tol-equalizer"]),
         "explore-rsh": (["--vertex", y0, "--functional", "edge", "--restarts", "1",
-                         "--iters", "5", "--seed", "0"], []),
+                         "--seed", "0"], []),
     }
     for command, (args, applied) in runs.items():
         with pytest.raises(SystemExit):

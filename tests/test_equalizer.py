@@ -6,16 +6,13 @@ from inscribed_extrema import (
     DimensionTooSmall,
     NotConverged,
     NotRowConstant,
-    RotationTriple,
     barycentric_basis,
     equalize_diagonal,
     equalize_diagonal_barycentric,
     householder_to,
     random_orthogonal,
-    rotation_about_ones_axis,
 )
-from inscribed_extrema.constructors import _restricted_l_residual
-from inscribed_extrema.equalizer import diag_residual
+from inscribed_extrema.equalizer import diag_residual, restricted_l_residual
 
 ONES_TOL = 1e-12
 
@@ -67,37 +64,6 @@ def test_equalize_diagonal_variance_history_decreases():
     rep = equalize_diagonal(m)
     h = rep.variance_history
     assert all(b < a for a, b in zip(h, h[1:]))
-
-
-# ------------------------------------------------------- ones-axis rotations
-
-
-def test_rotation_triple_validates():
-    with pytest.raises(IndexError):
-        RotationTriple(0, 0, 1, 0.3)
-
-
-def test_rotation_about_ones_axis_properties():
-    rng = np.random.default_rng(2)
-    ones = np.ones(5)
-    for theta in rng.uniform(-np.pi, np.pi, size=10):
-        r = rotation_about_ones_axis(5, RotationTriple(0, 2, 4, float(theta)))
-        assert np.linalg.norm(r @ ones - ones) < 1e-14
-        assert np.linalg.norm(r.T @ r - np.eye(5)) < 1e-14
-        # identity outside the triple
-        assert r[1, 1] == 1.0 and r[3, 3] == 1.0
-
-
-def test_rotation_about_ones_axis_cycle():
-    r = rotation_about_ones_axis(3, RotationTriple(0, 1, 2, 2.0 * np.pi / 3.0))
-    perm = np.zeros((3, 3))
-    perm[1, 0] = perm[2, 1] = perm[0, 2] = 1.0
-    assert_allclose(r, perm, atol=1e-14)
-
-
-def test_rotation_about_ones_axis_range_check():
-    with pytest.raises(IndexError):
-        rotation_about_ones_axis(3, RotationTriple(0, 1, 5, 0.1))
 
 
 def test_barycentric_basis_columns():
@@ -248,7 +214,7 @@ def test_restricted_l_residual_jacobian_matches_central_differences():
     for n in (3, 5):
         g = rng.normal(size=(n, n))
         y0 = rng.normal(size=n)
-        residual = _restricted_l_residual(g @ g.T + n * np.eye(n), y0 / np.linalg.norm(y0))
+        residual = restricted_l_residual(g @ g.T + n * np.eye(n), y0 / np.linalg.norm(y0))
         v = random_orthogonal(n, rng)
         jac = residual(v)[1]
         assert_allclose(jac, _central_difference_jacobian(residual, v, np.eye(n)), atol=1e-6)

@@ -116,24 +116,6 @@ def test_givens_rotates_the_coordinate_plane():
     assert_allclose(g[[0, 2]][:, [0, 2]], np.eye(2), atol=0.0)
 
 
-def test_trig_argmin_matches_dense_grid():
-    def h(t):
-        return (
-            0.3 + np.cos(t) - 0.7 * np.sin(2.0 * t) + 0.4 * np.cos(3.0 * t + 0.2)
-            + 0.9 * np.sin(4.0 * t - 1.1)
-        )
-
-    theta, value = linalg.trig_argmin(lambda t: float(h(t)))
-    grid = np.linspace(0.0, 2.0 * np.pi, 200001)
-    assert value <= float(np.min(h(grid))) + 1e-12
-    assert abs(value - h(theta)) < 1e-14
-    assert np.min(np.abs(np.exp(1j * grid[np.argmin(h(grid))]) - np.exp(1j * theta))) < 1e-4
-
-
-def test_trig_argmin_none_on_constant():
-    assert linalg.trig_argmin(lambda t: 2.5) is None
-
-
 def test_bracketed_root_known_root():
     root = linalg.bracketed_root(np.cos, 0.0, 3.0, 1.0, float(np.cos(3.0)))
     assert abs(root - np.pi / 2.0) < 1e-14

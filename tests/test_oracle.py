@@ -10,6 +10,7 @@ from inscribed_extrema import (
     construct_L_max,
     construct_S_max,
     explore_restricted_schur_horn,
+    householder_to,
     orthotope_to_parallelepiped,
     random_orthogonal,
     random_search_global,
@@ -17,6 +18,7 @@ from inscribed_extrema import (
     stationarity_check,
     tangent_normals_dump,
 )
+from inscribed_extrema.equalizer import barycentric_basis, diag_residual
 
 N3_ORBIT_FLOOR = 0.30618621784789724  # sqrt(2/3) * (3/8), the invariant-orbit residual below
 
@@ -136,7 +138,7 @@ def test_explorer_edge_target_drives_residual_down():
     # free-z edge condition is solvable for n=3; the explorer should get close
     a = np.diag([1.0, 2.0, 3.0])
     y0 = np.array([0.0, 0.0, 1.0])
-    rep = explore_restricted_schur_horn(a, y0, "edge_length", restarts=4, iters=800, seed=2)
+    rep = explore_restricted_schur_horn(a, y0, "edge_length", restarts=4, seed=2)
     assert rep.residual < 1e-8
     assert rep.U.shape == (3, 3)
 
@@ -145,8 +147,47 @@ def test_explorer_facet_target_finds_orbit_floor():
     # for n=3 the constrained facet residual has an invariant positive floor
     a = np.diag([1.0, 4.0, 9.0])
     y0 = np.array([0.0, 0.0, 1.0])
-    rep = explore_restricted_schur_horn(a, y0, "facet_area", restarts=3, iters=400, seed=0)
+    rep = explore_restricted_schur_horn(a, y0, "facet_area", restarts=3, seed=0)
     assert abs(rep.residual - N3_ORBIT_FLOOR) < 1e-6
+
+
+def _facet_floor_input():
+    # general y0, n = 5; the restricted facet residual has a positive floor here
+    rng = np.random.default_rng((2026, 5, 4))
+    g = rng.normal(size=(5, 5))
+    y = rng.normal(size=5)
+    return g @ g.T + 0.5 * np.eye(5), y / np.linalg.norm(y)
+
+
+def test_explorer_facet_floor_from_one_start():
+    a, y0 = _facet_floor_input()
+    rep = explore_restricted_schur_horn(a, y0, "facet_area", restarts=1, seed=0)
+    # the annealing explorer that preceded the damped solver reached
+    # 0.20529042 here with its defaults (8 restarts of 2000 annealing
+    # steps), and 0.20726635 from one restart
+    assert rep.residual <= 0.20529042
+    assert rep.residual > 0.1
+
+
+def test_explorer_facet_floor_is_first_order_stationary():
+    a, y0 = _facet_floor_input()
+    rep = explore_restricted_schur_horn(a, y0, "facet_area", restarts=1, seed=0)
+    u0 = barycentric_basis(y0)
+    m = u0.T @ np.linalg.inv(a) @ u0
+    ones_complement = householder_to(np.eye(5)[0], np.full(5, 5**-0.5))[:, 1:]
+    residual = diag_residual(m, float(np.trace(m)) / 5, ones_complement)
+    r, jac = residual(u0.T @ rep.U)
+    assert_allclose(np.linalg.norm(r), rep.residual, rtol=1e-9)
+    # ||J^T r|| / (||J||_F ||r||): 1.3e-7 here; the annealer's frame had 1.5e-2
+    assert np.linalg.norm(jac.T @ r) <= 1e-2 * np.linalg.norm(jac) * np.linalg.norm(r)
+
+
+def test_explorer_facet_n2_keeps_the_barycentric_frame():
+    # the stabilizer of the ones vector is trivial for n = 2: no frame moves
+    y0 = np.array([0.6, 0.8])
+    rep = explore_restricted_schur_horn(np.diag([1.0, 3.0]), y0, "facet_area", restarts=2)
+    assert_allclose(rep.U, barycentric_basis(y0), atol=1e-15)
+    assert rep.residual > 0.0
 
 
 def test_explorer_rejects_unknown_target():
