@@ -1,15 +1,17 @@
 """Extremal inscribed parallelepipeds.
 
 Global maximizers for both functionals, and vertex-constrained maximizers in
-the cases with a known construction: any boundary point for n=2, eigenvector
-boundary points for n >= 3. The eigenvector routes solve their diagonal
-conditions with equalizer.gauss_newton_frame; for n = 3 edge length that is
-the free-z residual equalizer.restricted_l_residual. The general
-vertex-constrained case for n >= 3 is open; the dispatcher routes it to
+the cases with a construction: any boundary point for n=2, any boundary
+point for the edge length (the free-z residual
+equalizer.restricted_l_residual), and eigenvector boundary points for the
+facet area when n >= 3 (the barycentric equalizer). Both solve their
+diagonal conditions with equalizer.multistart. The facet-area case through
+a general boundary point for n >= 3 is open; the dispatcher routes it to
 UnsupportedCase and the oracle explorer, on the same solver, gathers
 evidence instead.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +31,8 @@ from .errors import (
 
 EIGENVECTOR_TOL = 1e-8   # deliberately loose; final vertex residuals are the real gate
 BOUNDARY_TOL = 1e-10
+# free-z starts the edge-length vertex construction tries before giving up
+EDGE_STARTS = 60
 
 
 @dataclass(frozen=True)
@@ -190,46 +194,12 @@ def construct_vertex_2d(e, x0, functional="edge_length"):
     return q, cert
 
 
-def _eigen_residual(e, y0):
-    """(||C y0 - mu y0||, gate): y0 counts as an eigenvector direction of C
-    when the residual is within the gate."""
-    mu = float(y0 @ e.C @ y0)
-    res = float(np.linalg.norm(e.C @ y0 - mu * y0))
-    return res, EIGENVECTOR_TOL * float(np.max(np.abs(1.0 / e.eigenvalues)))
-
-
-def _require_eigenvector(e, y0):
-    res, gate = _eigen_residual(e, y0)
-    if res > gate:
-        raise NotEigenvector(
-            f"y0 is not an eigenvector direction (residual {res:.3e} > {gate:.1e})"
-        )
-    return res
-
-
-def _barycentric_pipeline(e, vc, m_matrix, tol, seed):
-    """Shared eigenvector-vertex route: barycentric basis, then the
-    constrained equalizer on the conjugated matrix."""
-    n = e.n
-    u0 = equalizer.barycentric_basis(vc.y0)
-    m = linalg.sym_matrix(u0.T @ m_matrix @ u0)
-    # the row-sum defect inherits the loose eigenvector gate, not 1e-9||M||
-    eig_res, _ = _eigen_residual(e, vc.y0)
-    scale = float(np.max(np.abs(m)))
-    row_tol = 1e-9 * (scale if scale > 0 else 1.0) + 4.0 * math.sqrt(n) * eig_res * float(
-        np.max(np.abs(m_matrix))
-    )
-    rep = equalizer.equalize_diagonal_barycentric(
-        m, tol=tol, seed=seed, row_tol=row_tol
-    )
-    u = u0 @ rep.V
-    lam = np.full(n, 2.0 / math.sqrt(n))
-    return geometry.SphereOrthotope(u, lam), rep
-
-
 def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
     """Facet-area maximizer through an eigenvector boundary point.
 
+    Uniform lambda = 2/sqrt(n) and the barycentric frame U0 V: the
+    barycentric basis U0 of y0 puts the vertex at x0, and the constrained
+    equalizer on U0^T C U0 equalizes the diagonal without moving it.
     Feasible whenever the constrained equalizer converges: always for
     balls, and for every n = 4, 6 and 8 input seen so far. It is provably
     impossible for n=3 with an anisotropic restriction, and some odd-n
@@ -238,82 +208,81 @@ def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     """
     if e.n == 2:
         return construct_vertex_2d(e, x0, functional="facet_area")
+    n = e.n
     vc = VertexConstraint.from_point(e, x0)
-    _require_eigenvector(e, vc.y0)
-    q, rep = _barycentric_pipeline(e, vc, e.C, tol, seed)
+    y0 = vc.y0
+    eig_res = float(np.linalg.norm(e.C @ y0 - float(y0 @ e.C @ y0) * y0))
+    gate = EIGENVECTOR_TOL * float(np.max(np.abs(1.0 / e.eigenvalues)))
+    if eig_res > gate:
+        raise NotEigenvector(
+            f"y0 is not an eigenvector direction (residual {eig_res:.3e} > {gate:.1e})"
+        )
+    u0 = equalizer.barycentric_basis(y0)
+    m = linalg.sym_matrix(u0.T @ e.C @ u0)
+    # the row-sum defect inherits the loose eigenvector gate, not 1e-9||M||
+    scale = float(np.max(np.abs(m)))
+    row_tol = 1e-9 * (scale if scale > 0 else 1.0) + 4.0 * math.sqrt(n) * eig_res * float(
+        np.max(np.abs(e.C))
+    )
+    rep = equalizer.equalize_diagonal_barycentric(m, tol=tol, seed=seed, row_tol=row_tol)
+    q = geometry.SphereOrthotope(u0 @ rep.V, np.full(n, 2.0 / math.sqrt(n)))
     p = geometry.orthotope_to_parallelepiped(e, q)
     vertex_res = float(np.linalg.norm(geometry.all_plus_vertex(p) - vc.x0))
-    dev = float(np.max(np.abs(functionals.diag_quadratic(q.U, e.C) - np.trace(e.C) / e.n)))
+    dev = float(np.max(np.abs(functionals.diag_quadratic(q.U, e.C) - np.trace(e.C) / n)))
     cert = _make_certificate(
         e, q, "facet_area", functionals.bound_S_max(e),
         {
             "vertex": vertex_res,
             "diagonal_equalization": dev,
-            "barycentric": float(np.max(np.abs(q.U.T @ vc.y0 - 1.0 / math.sqrt(e.n)))),
+            "barycentric": float(np.max(np.abs(q.U.T @ y0 - 1.0 / math.sqrt(n)))),
         },
     )
     return q, cert
 
 
-def _solve_restricted_l_3d(e, y0, seed, max_starts=60):
-    """diag(U^T A U) = tr(A) (U^T y0)^2 solved directly for n = 3.
-
-    The residual sums to zero identically, so the system is two equations in
-    the three rotation generators; Gauss-Newton from seeded random starts
-    converges quadratically. Solutions with a near-zero z entry are rejected
-    (they cannot carry a nondegenerate parallelepiped).
-    """
-    thresh = (1e-12 * (1.0 + float(np.trace(e.A)))) ** 2
-    residual = equalizer.restricted_l_residual(e.A, y0)
-    eye = np.eye(3)
-    g = linalg.givens
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(max_starts):
-        angles = rng.uniform(0.0, 2.0 * math.pi, 3)
-        u0 = g(3, 0, 1, angles[0]) @ g(3, 0, 2, angles[1]) @ g(3, 1, 2, angles[2])
-        u, psi, _ = equalizer.gauss_newton_frame(
-            u0, eye, residual, thresh, equalizer.STEPS_PER_START
-        )
-        if psi <= thresh and float(np.min(np.abs(u.T @ y0))) >= 1e-6:
-            return u, math.sqrt(psi)
-        best = min(best, psi)
-    raise NotConverged(
-        f"restricted diagonal condition not solved (best residual {math.sqrt(best):.3e})"
-    )
-
-
 def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
-    """Edge-length maximizer through an eigenvector boundary point.
+    """Edge-length maximizer through any boundary point (the name predates
+    the general case: x0 need not be an eigenvector).
 
-    For n >= 4 the barycentric equalizer route applies verbatim. For n = 3
-    that route only works when the conjugated matrix has an isotropic
-    restriction (balls), so after a cheap attempt the constructor solves the
-    underlying diagonal condition with a free z = U^T y0 instead; the bound
-    2^n sqrt(tr A) is still attained exactly.
+    2^n sqrt(tr A) is attained through x0 exactly when the Cauchy-Schwarz
+    equality condition diag(U^T A U) = tr(A) z*z holds, z = U^T y0 free.
+    equalizer.multistart solves it from the barycentric basis of y0, then
+    from seeded Haar frames, and accepts ||r|| <= tol tr(A) with every
+    |z_i| >= 1e-6; otherwise NotConverged carries the best report. Every
+    point tried so far was solved from the first start: numerical evidence,
+    not a theorem.
     """
     if e.n == 2:
         return construct_vertex_2d(e, x0, functional="edge_length")
+    n = e.n
     vc = VertexConstraint.from_point(e, x0)
-    _require_eigenvector(e, vc.y0)
-    residuals = {}
-    try:
-        q, _ = _barycentric_pipeline(e, vc, e.A, tol, seed)
-    except NotConverged:
-        if e.n >= 4:
-            raise
-        u, residuals["solver"] = _solve_restricted_l_3d(e, vc.y0, seed)
-        q = geometry.SphereOrthotope(*vertex_lambdas(u, vc.y0))
-    z = q.U.T @ vc.y0
-    cond_res = float(
-        np.linalg.norm(
-            functionals.diag_quadratic(q.U, e.A) - np.trace(e.A) * z * z
-        )
+    tr_a = float(np.trace(e.A))
+    starts = itertools.chain(
+        [equalizer.barycentric_basis(vc.y0)],
+        (linalg.random_orthogonal(n, np.random.default_rng((seed, s)))
+         for s in range(EDGE_STARTS - 1)),
     )
+    rep = equalizer.multistart(
+        starts, np.eye(n), equalizer.restricted_l_residual(e.A, vc.y0), (tol * tr_a) ** 2,
+        EDGE_STARTS * equalizer.STEPS_PER_START,
+        accept=lambda u: float(np.min(np.abs(u.T @ vc.y0))) >= 1e-6,
+    )
+    if not rep.converged:
+        raise NotConverged(
+            "restricted diagonal condition not solved after "
+            f"{rep.restarts + 1} starts (best residual "
+            f"{math.sqrt(rep.final_variance) / tr_a:.3e} tr A)",
+            report=rep,
+        )
+    q = geometry.SphereOrthotope(*vertex_lambdas(rep.V, vc.y0))
+    z = q.U.T @ vc.y0
+    cond_res = float(np.linalg.norm(functionals.diag_quadratic(q.U, e.A) - tr_a * z * z))
     p = geometry.orthotope_to_parallelepiped(e, q)
     vertex_res = float(np.linalg.norm(geometry.all_plus_vertex(p) - vc.x0))
-    residuals.update({"vertex": vertex_res, "restricted_diagonal": cond_res})
-    cert = _make_certificate(e, q, "edge_length", functionals.bound_L_max(e), residuals)
+    cert = _make_certificate(
+        e, q, "edge_length", functionals.bound_L_max(e),
+        {"vertex": vertex_res, "restricted_diagonal": cond_res},
+    )
     return q, cert
 
 
@@ -322,22 +291,21 @@ def construct_through_vertex(
 ):
     """Route a vertex-constrained request to the case that can solve it.
 
-    n=2 always works; for n >= 3 only eigenvector boundary points have a
-    construction (balls included, every direction is an eigenvector there).
+    n=2 always works, and so does the edge length for every n. For n >= 3
+    the facet area has a construction only through eigenvector boundary
+    points (balls included, every direction is an eigenvector there).
     Everything else is the open case: UnsupportedCase points at the
     restricted Schur-Horn explorer in the oracle module.
     """
     if functional not in ("edge_length", "facet_area"):
         raise ValueError(f"unknown functional {functional!r}")
-    if e.n == 2:
-        return construct_vertex_2d(e, x0, functional=functional)
-    vc = VertexConstraint.from_point(e, x0)
-    res, gate = _eigen_residual(e, vc.y0)
-    if res > gate:
-        raise UnsupportedCase(
-            "no construction is known through a non-eigenvector boundary point for "
-            "n >= 3; explore_restricted_schur_horn gathers numerical evidence instead"
-        )
-    if functional == "facet_area":
+    if functional == "edge_length":
+        return construct_vertex_eigen_L(e, x0, tol=tol, seed=seed)
+    try:
         return construct_vertex_eigen_S(e, x0, tol=tol, seed=seed)
-    return construct_vertex_eigen_L(e, x0, tol=tol, seed=seed)
+    except NotEigenvector as exc:
+        raise UnsupportedCase(
+            "no facet-area construction is known through a non-eigenvector boundary "
+            "point for n >= 3; explore_restricted_schur_horn gathers numerical evidence "
+            "instead"
+        ) from exc

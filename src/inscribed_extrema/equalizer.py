@@ -16,11 +16,13 @@ Two regimes:
   reports the best frame found and raises NotConverged honestly in those
   cases.
 
-gauss_newton_frame is the one solver for diagonal prescriptions on a frame:
-the barycentric equalizer, the n = 3 vertex construction (with the free-z
-residual restricted_l_residual) and the oracle's explorer all call it.
+gauss_newton_frame is the one solver for diagonal prescriptions on a frame,
+and multistart the one loop that runs it from a sequence of starts: the
+barycentric equalizer, the edge-length vertex construction (with the free-z
+residual restricted_l_residual) and the oracle's explorer all call them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -232,16 +234,59 @@ def gauss_newton_frame(v, q, residual, thresh, max_steps):
     return v, psi, steps
 
 
+def multistart(starts, q, residual, thresh, budget, accept=None, baseline=None):
+    """Run gauss_newton_frame from each frame of starts in turn, for at most
+    STEPS_PER_START steps; every start costs at least one step of budget.
+
+    Stops when the budget is spent, the starts run out, or a start reaches
+    psi <= thresh and passes accept(V), when given. The baseline frame, when
+    given, is the first best candidate and stops the loop at once if it
+    meets the threshold. Returns an EqualizationReport whose V is the
+    accepted frame, or else the lowest-psi one.
+    """
+    best_v, best_psi, history = None, math.inf, []
+    if baseline is not None:
+        r = residual(baseline)[0]
+        best_v, best_psi = baseline, float(r @ r)
+        history.append(best_psi)
+    converged = best_psi <= thresh
+    steps = count = 0
+    starts = iter(starts)
+    # test before drawing: a start is drawn only when it will run
+    while not converged and steps < budget:
+        v = next(starts, None)
+        if v is None:
+            break
+        v, psi, used = gauss_newton_frame(
+            v, q, residual, thresh, min(STEPS_PER_START, budget - steps)
+        )
+        steps += max(used, 1)
+        count += 1
+        converged = psi <= thresh and (accept is None or accept(v))
+        if converged or psi < best_psi:
+            best_v, best_psi = v, psi
+            history.append(psi)
+    return EqualizationReport(
+        V=best_v,
+        iterations=steps,
+        variance_history=history,
+        converged=converged,
+        final_variance=best_psi,
+        restarts=max(count - 1, 0),
+        threshold=thresh,
+    )
+
+
 def equalize_diagonal_barycentric(
     m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_iter=None, seed=0, row_tol=None
 ):
     """Equalize diag(V^T M V) with V in the stabilizer of the all-ones vector.
 
     M must be symmetric with constant row sums (then the all-ones direction
-    is an eigenvector and stays one throughout). gauss_newton_frame runs
-    from the identity, then from seeded random stabilizer elements, at most
-    STEPS_PER_START steps each, until the variance is under the threshold
-    or max_iter steps are spent (a start costs at least one).
+    is an eigenvector and stays one throughout). multistart runs
+    gauss_newton_frame from the identity, then from seeded random
+    stabilizer elements, until the variance is under the threshold or
+    max_iter steps are spent.
 
     Raises NotConverged with the best report attached when the variance
     floor of the instance is above the threshold; for n=3 that floor is
@@ -270,50 +315,26 @@ def equalize_diagonal_barycentric(
     thresh = (tol * (1.0 + abs(t))) ** 2
     rng = np.random.default_rng(seed)
     h = ones_frame(n)
-    q = h[:, 1:]
-    residual = diag_residual(m, t, q)
-
-    best_v = np.eye(n)
-    dev = np.diag(m) - t
-    best_psi = float(dev @ dev)
-    history = [best_psi]
-    steps = 0
-    starts = 0
-    v = best_v
+    eye = np.eye(n)
     # for n=3 the variance is constant on the whole stabilizer orbit; no
     # sequence of moves can improve it
-    while n > 3 and best_psi > thresh and steps < max_iter:
-        if starts:
-            v = random_stabilizer(h, rng)
-        v, psi, used = gauss_newton_frame(
-            v, q, residual, thresh, min(STEPS_PER_START, max_iter - steps)
-        )
-        steps += max(used, 1)
-        starts += 1
-        if psi < best_psi:
-            best_v, best_psi = v, psi
-            history.append(psi)
-    restarts = max(starts - 1, 0)
-
-    report = EqualizationReport(
-        V=best_v,
-        iterations=steps,
-        variance_history=history,
-        converged=best_psi <= thresh,
-        final_variance=best_psi,
-        restarts=restarts,
-        threshold=thresh,
+    starts = () if n == 3 else itertools.chain(
+        [eye], (random_stabilizer(h, rng) for _ in itertools.count())
+    )
+    report = multistart(
+        starts, h[:, 1:], diag_residual(m, t, h[:, 1:]), thresh, max_iter, baseline=eye
     )
     if not report.converged:
         if n == 3:
             msg = (
                 "diagonal variance is invariant along the stabilizer orbit for n=3; "
-                f"floor {best_psi:.6e} exceeds threshold {thresh:.1e}"
+                f"floor {report.final_variance:.6e} exceeds threshold {thresh:.1e}"
             )
         else:
             msg = (
-                f"variance floor {best_psi:.6e} not brought under {thresh:.1e} "
-                f"after {steps} solver steps and {restarts} restarts"
+                f"variance floor {report.final_variance:.6e} not brought under "
+                f"{thresh:.1e} after {report.iterations} solver steps and "
+                f"{report.restarts} restarts"
             )
         raise NotConverged(msg, report=report)
     return report

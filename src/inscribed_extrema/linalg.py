@@ -44,20 +44,6 @@ def spd_matrix(a, rel_tol=SPD_REL_TOL):
     return s
 
 
-def spd_sqrt(a):
-    """Positive square root of an SPD matrix."""
-    a = spd_matrix(a)
-    w, q = np.linalg.eigh(a)
-    return sym_matrix((q * np.sqrt(w)) @ q.T)
-
-
-def spd_inverse(a):
-    """Inverse of an SPD matrix through its eigendecomposition."""
-    a = spd_matrix(a)
-    w, q = np.linalg.eigh(a)
-    return sym_matrix((q / w) @ q.T)
-
-
 def orthogonality_defect(u):
     u = np.asarray(u, dtype=float)
     n = u.shape[0]

@@ -1,7 +1,7 @@
 """Stochastic verification against the closed-form bounds, a numerical
-explorer for the restricted diagonal-prescription problem (multistart runs
-of the equalizer's frame solver), and two diagnostics (first-order
-stationarity, tangent-normal dump).
+explorer for the restricted diagonal-prescription problem (the equalizer's
+multistart loop), and two diagnostics (first-order stationarity,
+tangent-normal dump).
 
 Per-trial randomness comes from counter-based streams default_rng((seed,
 trial)), so results are independent of chunking and execution order. Trials
@@ -17,7 +17,7 @@ import numpy as np
 from . import equalizer, functionals, geometry, linalg
 from .config import DEFAULT_TOLERANCES
 from .constructors import VertexConstraint, vertex_lambdas
-from .errors import NonPositiveInput, NotInscribed
+from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput, NotInscribed
 
 CHUNK = 2048
 DEGENERATE_TOL = 1e-12
@@ -181,37 +181,39 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
     free, over all frames U.
     target="facet_area": same residual with M = A^-1 and z pinned to
     1/sqrt(n), i.e. frames U0 V with V in the stabilizer of the ones vector.
-    Each of the restarts seeded starts runs equalizer.gauss_newton_frame for
-    at most STEPS_PER_START steps; the identity is the baseline candidate.
-    Reports the best residual found; no optimality claim.
+    equalizer.multistart runs the frame solver from each of the restarts
+    seeded starts; the identity is the baseline candidate. Reports the best
+    residual found; no optimality claim.
     """
+    n = linalg.as_square(a).shape[0]
+    if n < 2:
+        raise DimensionTooSmall("the explorer needs n >= 2")
+    if restarts < 0:
+        raise NonPositiveInput("restarts must be >= 0")
     a = linalg.spd_matrix(a)
     y0 = linalg.unit_vector(y0)
-    n = a.shape[0]
+    if y0.size != n:
+        raise DimensionMismatch("y0 dimension does not match the matrix")
     if target == "edge_length":
         u0 = q = np.eye(n)
         residual = equalizer.restricted_l_residual(a, y0)
         draw = functools.partial(linalg.random_orthogonal, n)
     elif target == "facet_area":
         u0 = equalizer.barycentric_basis(y0)
-        m = linalg.sym_matrix(u0.T @ linalg.spd_inverse(a) @ u0)
+        m = linalg.sym_matrix(u0.T @ geometry.Ellipsoid(a).C @ u0)
         h = equalizer.ones_frame(n)
         q = h[:, 1:]
         residual = equalizer.diag_residual(m, float(np.trace(m)) / n, q)
         draw = functools.partial(equalizer.random_stabilizer, h)
     else:
         raise ValueError(f"unknown target {target!r}")
-    r = residual(np.eye(n))[0]
-    best_v, best_psi = np.eye(n), float(r @ r)
-    for rs in range(restarts):
-        v, psi, _ = equalizer.gauss_newton_frame(
-            draw(np.random.default_rng((seed, rs))), q, residual, 0.0,
-            equalizer.STEPS_PER_START,
-        )
-        if psi < best_psi:
-            best_v, best_psi = v, psi
+    rep = equalizer.multistart(
+        (draw(np.random.default_rng((seed, rs))) for rs in range(restarts)), q, residual,
+        0.0, restarts * equalizer.STEPS_PER_START, baseline=np.eye(n),
+    )
     return RshReport(
-        residual=math.sqrt(best_psi), U=u0 @ best_v, target=target, restarts=restarts
+        residual=math.sqrt(rep.final_variance), U=u0 @ rep.V, target=target,
+        restarts=restarts,
     )
 
 

@@ -224,6 +224,49 @@ def test_explore_rsh_iters_flag_rejected(tmp_path, capsys):
     assert "--iters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix, vertex, restarts, message", [
+    ([[2.0]], [1.0], "1", "n >= 2"),
+    (np.diag([1.0, 2.0, 3.0]).tolist(), [0.0, 0.0, 1.0], "-2", "restarts must be >= 0"),
+    (np.diag([1.0, 2.0, 3.0]).tolist(), [0.6, 0.8], "1", "does not match"),
+], ids=["n1", "negative_restarts", "vertex_dimension"])
+@pytest.mark.parametrize("functional", ["edge", "facet"])
+def test_explore_rsh_bad_input_exits_1(tmp_path, capsys, matrix, vertex, restarts, message,
+                                       functional):
+    m = write_matrix(tmp_path, "a.json", matrix)
+    v = write_vector(tmp_path, "y0.json", vertex)
+    code, out, err = run_cli(
+        capsys, ["explore-rsh", "--matrix", m, "--vertex", v, "--functional", functional,
+                 "--restarts", restarts, "--seed", "0"]
+    )
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_construct_edge_through_non_eigenvector_vertex(tmp_path, capsys, n):
+    rng = np.random.default_rng(90 + n)
+    g = rng.normal(size=(n, n))
+    a = g @ g.T + n * np.eye(n)
+    y = rng.normal(size=n)
+    x0 = y / np.sqrt(y @ np.linalg.solve(a, y))
+    m = write_matrix(tmp_path, "a.json", a.tolist())
+    v = write_vector(tmp_path, "x0.json", x0)
+    code, out, _ = run_cli(
+        capsys, ["construct", "--matrix", m, "--functional", "edge", "--vertex", v,
+                 "--seed", "0"]
+    )
+    assert code == 0
+    res = json.loads(out)["result"]
+    edges = np.asarray(res["parallelepiped"]["edges"]).T
+    assert np.linalg.norm(0.5 * edges.sum(axis=1) - x0) <= 1e-9
+    cert = res["certificate"]
+    bound = 2.0**n * math.sqrt(np.trace(a))
+    assert abs(cert["bound"] - bound) <= 1e-12 * bound
+    assert abs(cert["achieved"] - bound) <= 1e-12 * bound
+    assert cert["equality_residuals"]["vertex"] <= 1e-9
+
+
 def test_output_file_atomic_and_clean(tmp_path, capsys):
     m = write_matrix(tmp_path, "a.json", [[1.0, 0.0], [0.0, 2.0]])
     out_path = tmp_path / "res.json"

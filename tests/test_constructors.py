@@ -129,23 +129,48 @@ def test_vertex_eigen_L_reference():
     assert np.linalg.norm(all_plus_vertex(p) - x0) <= VERTEX_TOL * np.linalg.norm(x0)
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_vertex_eigen_L_random_axes(n):
     rng = np.random.default_rng(600 + n)
-    hits = 0
     for k in range(10):
         a, y0, ev = spd_with_known_axis(n, rng)
         e = Ellipsoid(a)
         x0 = y0 * np.sqrt(ev)
-        try:
-            q, cert = construct_vertex_eigen_L(e, x0, seed=k)
-        except NotConverged:
-            continue  # n=5-style floors cannot occur for these n, but stay honest
-        hits += 1
+        q, cert = construct_vertex_eigen_L(e, x0, seed=k)
         assert abs(float(cert.achieved) - bound_L_max(e)) <= 1e-8 * bound_L_max(e)
         p = orthotope_to_parallelepiped(e, q)
         assert np.linalg.norm(all_plus_vertex(p) - x0) <= VERTEX_TOL * np.linalg.norm(x0)
-    assert hits >= 9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_vertex_L_through_non_eigenvector_point(n):
+    # the free-z condition never needs x0 to be an eigenvector
+    rng = np.random.default_rng(650 + n)
+    e = Ellipsoid(random_spd(n, rng))
+    y = rng.normal(size=n)
+    x0 = e.B @ (y / np.linalg.norm(y))
+    q, cert = construct_through_vertex(e, x0, functional="edge_length", seed=0)
+    assert abs(float(cert.achieved) - bound_L_max(e)) <= 1e-12 * bound_L_max(e)
+    assert cert.equality_residuals["vertex"] <= VERTEX_TOL
+    p = orthotope_to_parallelepiped(e, q)
+    assert np.linalg.norm(all_plus_vertex(p) - x0) <= VERTEX_TOL * np.linalg.norm(x0)
+
+
+def _rescaled_inputs():
+    # the acceptance threshold is relative to tr A, so a tiny ellipsoid is
+    # solved as accurately as a unit one
+    yield Ellipsoid(1e-20 * np.diag([1.0, 4.0, 9.0])), np.array([0.0, 0.0, 3e-10])
+    for n in (4, 6):
+        a, y0, ev = spd_with_known_axis(n, np.random.default_rng(600 + n))
+        yield Ellipsoid(1e-20 * a), y0 * np.sqrt(1e-20 * ev)
+
+
+def test_vertex_L_is_scale_free():
+    for e, x0 in _rescaled_inputs():
+        q, cert = construct_through_vertex(e, x0, functional="edge_length", seed=0)
+        assert abs(cert.relative_gap) <= 1e-12
+        p = orthotope_to_parallelepiped(e, q)
+        assert np.linalg.norm(all_plus_vertex(p) - x0) <= VERTEX_TOL * np.linalg.norm(x0)
 
 
 @pytest.mark.parametrize("n", [4, 6, 7])
@@ -205,12 +230,12 @@ def test_dispatch_2d_routes():
 
 
 def test_dispatch_non_eigenvector_unsupported():
-    rng = np.random.default_rng(73)
+    # the facet area through a general point for n >= 3 is the open case
     e = Ellipsoid(np.diag([1.0, 2.0, 4.0]))
     y = np.array([0.5, 0.5, 0.70710678])
     x0 = y / np.sqrt(y @ e.C @ y)
     with pytest.raises(UnsupportedCase):
-        construct_through_vertex(e, x0, functional="edge_length")
+        construct_through_vertex(e, x0, functional="facet_area")
 
 
 def test_vertex_lambdas_signs():

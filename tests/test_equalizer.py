@@ -12,7 +12,12 @@ from inscribed_extrema import (
     householder_to,
     random_orthogonal,
 )
-from inscribed_extrema.equalizer import diag_residual, restricted_l_residual
+from inscribed_extrema.equalizer import (
+    STEPS_PER_START,
+    diag_residual,
+    multistart,
+    restricted_l_residual,
+)
 
 ONES_TOL = 1e-12
 
@@ -218,3 +223,39 @@ def test_restricted_l_residual_jacobian_matches_central_differences():
         v = random_orthogonal(n, rng)
         jac = residual(v)[1]
         assert_allclose(jac, _central_difference_jacobian(residual, v, np.eye(n)), atol=1e-6)
+
+
+def test_multistart_passes_over_rejected_solutions():
+    # a start under the threshold that fails the acceptance test does not end
+    # the loop; the first one that passes it is returned
+    residual = restricted_l_residual(np.diag([1.0, 2.0, 3.0]), np.array([0.0, 0.0, 1.0]))
+    starts = [random_orthogonal(3, seed) for seed in range(3)]
+    seen = []
+
+    def accept(u):
+        seen.append(u)
+        return len(seen) == 2
+
+    rep = multistart(starts, np.eye(3), residual, 1e-24, 3 * STEPS_PER_START, accept=accept)
+    assert rep.converged
+    assert rep.restarts == 1
+    assert rep.V is seen[1]
+    assert rep.final_variance <= 1e-24
+    rep = multistart(starts, np.eye(3), residual, 1e-24, 3 * STEPS_PER_START,
+                     accept=lambda u: False)
+    assert not rep.converged
+    assert rep.restarts == 2
+
+
+def test_multistart_budget_and_baseline():
+    m = np.diag([1.0, 2.0, 3.0, 4.0])
+    q = np.eye(4)
+    residual = diag_residual(m, 2.5, q)
+    # no budget: no start is drawn, the baseline is the report
+    rep = multistart(iter([np.eye(4)]), q, residual, 0.0, 0, baseline=np.eye(4))
+    assert rep.iterations == 0 and rep.restarts == 0
+    assert rep.V is not None and rep.variance_history == [5.0]
+    # a baseline under the threshold ends the loop before any start
+    rep = multistart([random_orthogonal(4, 0)], q, residual, 5.0, 60, baseline=np.eye(4))
+    assert rep.converged and rep.iterations == 0
+    assert_allclose(rep.V, np.eye(4))

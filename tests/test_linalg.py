@@ -41,24 +41,6 @@ def test_spd_matrix_rejects_singular():
         linalg.spd_matrix(np.diag([1.0, 0.0]))
 
 
-def test_spd_sqrt_squares_back():
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        n = rng.integers(2, 7)
-        g = rng.normal(size=(n, n))
-        a = g @ g.T + n * np.eye(n)
-        b = linalg.spd_sqrt(a)
-        assert_allclose(b @ b, a, atol=1e-10 * np.linalg.norm(a))
-
-
-def test_spd_inverse():
-    rng = np.random.default_rng(1)
-    g = rng.normal(size=(4, 4))
-    a = g @ g.T + 4.0 * np.eye(4)
-    c = linalg.spd_inverse(a)
-    assert_allclose(a @ c, np.eye(4), atol=1e-12)
-
-
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_householder_to_maps_a_to_b(n):
     rng = np.random.default_rng(n)

@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from inscribed_extrema import (
+    DimensionMismatch,
+    DimensionTooSmall,
     Ellipsoid,
     NonPositiveInput,
     NotInscribed,
@@ -193,3 +195,22 @@ def test_explorer_facet_n2_keeps_the_barycentric_frame():
 def test_explorer_rejects_unknown_target():
     with pytest.raises(ValueError):
         explore_restricted_schur_horn(np.eye(3), np.array([1.0, 0.0, 0.0]), "volume")
+
+
+@pytest.mark.parametrize("target", ["edge_length", "facet_area"])
+def test_explorer_rejects_n1(target):
+    with pytest.raises(DimensionTooSmall):
+        explore_restricted_schur_horn(np.array([[2.0]]), np.array([1.0]), target)
+
+
+def test_explorer_rejects_negative_restarts():
+    with pytest.raises(NonPositiveInput):
+        explore_restricted_schur_horn(
+            np.diag([1.0, 2.0, 3.0]), np.array([0.0, 0.0, 1.0]), "edge_length", restarts=-2
+        )
+
+
+@pytest.mark.parametrize("target", ["edge_length", "facet_area"])
+def test_explorer_rejects_vertex_of_wrong_dimension(target):
+    with pytest.raises(DimensionMismatch):
+        explore_restricted_schur_horn(np.diag([1.0, 2.0, 3.0]), np.array([0.6, 0.8]), target)
