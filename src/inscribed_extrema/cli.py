@@ -160,6 +160,8 @@ def _emit(args, result, error):
 def _seed(args):
     """The run's seed, 0 when omitted; CI mode refuses to default it."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise CliError("--seed must be >= 0")
         return args.seed
     if os.environ.get("INSCRIBED_EXTREMA_CI") == "1":
         raise CliError("--seed is required in CI mode (INSCRIBED_EXTREMA_CI=1)")

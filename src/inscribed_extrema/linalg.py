@@ -91,8 +91,8 @@ def householder_to(a, b):
 def random_orthogonal(n, seed):
     """Haar-distributed orthogonal matrix, deterministic given the seed.
 
-    seed may be an int or an already-constructed numpy Generator (the oracle
-    feeds counter-based per-trial generators through here).
+    seed may be an int or an already-constructed numpy Generator (the
+    multistart loops pass one default_rng((seed, start)) per start).
     """
     if n < 1:
         raise DimensionMismatch("n must be >= 1")

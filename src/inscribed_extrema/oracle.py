@@ -3,9 +3,11 @@ explorer for the restricted diagonal-prescription problem (the equalizer's
 multistart loop), and two diagnostics (first-order stationarity,
 tangent-normal dump).
 
-Per-trial randomness comes from counter-based streams default_rng((seed,
-trial)), so results are independent of chunking and execution order. Trials
-are evaluated in fixed-size chunks purely for numpy throughput.
+Each search trial owns a fixed block of a counter-based Philox stream keyed
+by the seed (Salmon, Moraes, Dror & Shaw, SC'11), turned into normals by
+Box-Muller, so results are independent of chunking and execution order.
+Trials are evaluated in fixed-size chunks purely for numpy throughput. The
+explorer's starts come from default_rng((seed, start)).
 """
 
 import functools
@@ -19,7 +21,7 @@ from .config import DEFAULT_TOLERANCES
 from .constructors import VertexConstraint, vertex_lambdas
 from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput, NotInscribed
 
-CHUNK = 2048
+CHUNK = 1024
 DEGENERATE_TOL = 1e-12
 
 
@@ -64,17 +66,44 @@ class RshReport:
         }
 
 
+def _normals(seed, t0, t1, k):
+    """k standard normals (k even) for each of the trials t0..t1-1.
+
+    Trial t owns the Philox counters t*block+1 .. (t+1)*block under a key
+    derived from the seed, so its draws depend neither on the chunk nor on
+    the order of chunks. Its first k raw words w become the uniforms
+    ((w >> 12) + 1/2) 2^-52, exact and strictly inside (0, 1). Box-Muller
+    pairs word i (radius) with word i + k/2 (angle), so every trial costs
+    the same fixed number of words.
+    """
+    block = -(-k // 4)
+    bitgen = np.random.Philox(
+        key=np.random.SeedSequence(seed).generate_state(2, np.uint64),
+        counter=[t0 * block, 0, 0, 0],
+    )
+    w = bitgen.random_raw((t1 - t0) * block * 4).reshape(t1 - t0, block * 4)[:, :k]
+    w >>= 12
+    g = w.astype(np.float64)
+    g += 0.5
+    g *= 2.0**-52
+    r, theta = g[:, : k // 2], g[:, k // 2 :]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * math.pi
+    s = np.sin(theta)
+    np.cos(theta, out=theta)
+    theta *= r
+    r *= s
+    return g
+
+
 def _haar_chunk(n, seed, t0, t1, want_lambda):
     """Per-trial Haar frames (and lambda Gaussians) for trials t0..t1-1."""
-    m = t1 - t0
-    gauss = np.empty((m, n, n))
-    extra = np.empty((m, n)) if want_lambda else None
-    for j in range(m):
-        rng = np.random.default_rng((seed, t0 + j))
-        gauss[j] = rng.standard_normal((n, n))
-        if want_lambda:
-            extra[j] = rng.standard_normal(n)
-    return linalg.haar_from_gaussian(gauss), extra
+    k = n * n + (n if want_lambda else 0)
+    g = _normals(seed, t0, t1, k + k % 2)
+    extra = g[:, n * n : n * n + n] if want_lambda else None
+    return linalg.haar_from_gaussian(g[:, : n * n].reshape(-1, n, n)), extra
 
 
 def _bound_for(e, functional):
@@ -96,6 +125,8 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
     trials = int(trials)
     if trials < 1:
         raise NonPositiveInput("trials must be >= 1")
+    if seed < 0:
+        raise NonPositiveInput("seed must be >= 0")
     bound = _bound_for(e, functional)
     limit = bound * (1.0 + bound_slack)
     best_value = -np.inf

@@ -243,6 +243,24 @@ def test_explore_rsh_bad_input_exits_1(tmp_path, capsys, matrix, vertex, restart
     assert message in err
 
 
+@pytest.mark.parametrize("command, args", [
+    ("construct", ["--functional", "edge"]),
+    ("search", ["--functional", "edge", "--trials", "5"]),
+    ("equalize", ["--barycentric"]),
+    ("explore-rsh", ["--functional", "edge", "--restarts", "1"]),
+])
+def test_negative_seed_exits_1(tmp_path, capsys, command, args):
+    m = write_matrix(tmp_path, "a.json", np.diag([1.0, 2.0, 3.0]).tolist())
+    if command == "explore-rsh":
+        args = args + ["--vertex", write_vector(tmp_path, "y0.json", [0.0, 0.0, 1.0])]
+    # cli.main must return, not raise: a raised numpy ValueError is the traceback
+    code, out, err = run_cli(capsys, [command, "--matrix", m, "--seed", "-1"] + args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--seed" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_construct_edge_through_non_eigenvector_vertex(tmp_path, capsys, n):
     rng = np.random.default_rng(90 + n)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +13,9 @@ from inscribed_extrema import (
     SphereOrthotope,
     construct_L_max,
     construct_S_max,
+    edge_length_total,
     explore_restricted_schur_horn,
+    facet_area_total_factored,
     householder_to,
     orthotope_to_parallelepiped,
     random_orthogonal,
@@ -20,6 +24,7 @@ from inscribed_extrema import (
     stationarity_check,
     tangent_normals_dump,
 )
+from inscribed_extrema import oracle
 from inscribed_extrema.equalizer import barycentric_basis, diag_residual
 
 N3_ORBIT_FLOOR = 0.30618621784789724  # sqrt(2/3) * (3/8), the invariant-orbit residual below
@@ -35,6 +40,76 @@ def test_search_rejects_zero_trials():
     e = Ellipsoid.ball(2)
     with pytest.raises(NonPositiveInput):
         random_search_global(e, "edge_length", 0, seed=1)
+
+
+@pytest.mark.parametrize("search", ["global", "vertex"])
+def test_search_rejects_negative_seed(search):
+    e = Ellipsoid.ball(2)
+    with pytest.raises(NonPositiveInput):
+        if search == "global":
+            random_search_global(e, "edge_length", 5, seed=-1)
+        else:
+            random_search_vertex(e, np.array([1.0, 0.0]), "edge_length", 5, seed=-1)
+
+
+VALUE_OF = {"edge_length": edge_length_total, "facet_area": facet_area_total_factored}
+
+
+@pytest.mark.parametrize("search, functional", [
+    ("global", "facet_area"), ("global", "edge_length"), ("vertex", "edge_length"),
+])
+def test_search_does_not_depend_on_chunking(monkeypatch, search, functional):
+    rng = np.random.default_rng(21)
+    e = Ellipsoid(random_spd(3, rng))
+    y = rng.normal(size=3)
+    x0 = e.B @ (y / np.linalg.norm(y))
+
+    def run():
+        if search == "global":
+            return random_search_global(e, functional, 2500, seed=13, keep_trace=True)
+        return random_search_vertex(e, x0, functional, 2500, seed=13, keep_trace=True)
+
+    wide = run()
+    monkeypatch.setattr(oracle, "CHUNK", 7)
+    narrow = run()
+    for rep in (wide, narrow):
+        assert rep.best_value == narrow.best_value
+        assert rep.best_trial == narrow.best_trial
+        assert rep.violations == narrow.violations
+        assert rep.degenerate_skips == narrow.degenerate_skips
+        assert rep.trace == narrow.trace
+        value = float(VALUE_OF[functional](e, rep.best_config))
+        assert abs(value - rep.best_value) <= 1e-9 * rep.best_value
+    # the re-drawn best configuration came from a later chunk's counters
+    assert narrow.best_trial >= oracle.CHUNK
+
+
+def test_search_normals_are_standard_gaussian():
+    g = oracle._normals(2026, 0, 20000, 10)
+    x = g.ravel()
+    size = x.size
+    # 200,000 draws: the bounds below are 5-6 standard errors wide
+    assert abs(x.mean()) < 0.012
+    assert abs(x.var() - 1.0) < 0.02
+    assert abs(np.mean(x**4) - 3.0) < 0.12
+    # the k normals of a trial are uncorrelated, the Box-Muller pairs included
+    assert np.max(np.abs(g.T @ g / len(g) - np.eye(10))) < 0.04
+    # Kolmogorov-Smirnov distance to N(0, 1); 1.95/sqrt(N) is the 0.1% level
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in np.sort(x)])
+    steps = np.arange(1, size + 1) / size
+    ks = max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / size)))
+    assert ks < 1.95 / math.sqrt(size)
+
+
+def test_search_frames_are_haar():
+    n = 3
+    u, _ = oracle._haar_chunk(n, 2026, 0, 20000, False)
+    assert_allclose(np.einsum("tij,tik->tjk", u, u), np.broadcast_to(np.eye(n), u.shape),
+                    atol=1e-12)
+    # Haar entries: E[U_ij] = 0, E[U_ij^2] = 1/n, E[U_ij^4] = 3/(n(n+2))
+    assert np.max(np.abs(u.mean(axis=0))) < 0.02
+    assert_allclose(np.mean(u**2, axis=0), np.full((n, n), 1.0 / n), atol=0.01)
+    assert_allclose(np.mean(u**4, axis=0), np.full((n, n), 3.0 / (n * (n + 2))), atol=0.01)
 
 
 def test_search_is_deterministic_and_reconstructs_best():
