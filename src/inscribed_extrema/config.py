@@ -8,7 +8,9 @@ class ToleranceConfig:
     """Default numeric tolerances.
 
     ortho_tol: max |U^T U - I| entry for a frame to count as orthonormal.
-    inscribed_tol: max vertex residual |v^T A^{-1} v - 1| for inscription.
+    inscribed_tol: threshold on the inscription residual, an upper bound on
+        |v^T A^{-1} v - 1| over all 2^n vertices computed from the Gram
+        matrix of B^{-1}V (see geometry.is_inscribed).
     equalizer_tol: relative diagonal-deviation target for equalizers.
     bound_slack: relative slack allowed above a closed-form bound before
         a value is flagged as a violation.

@@ -79,6 +79,21 @@ def test_construct_facet_attains_bound(tmp_path, capsys):
     assert abs(cert["achieved"] - OVER_SQRT3_S) < 1e-9 * OVER_SQRT3_S
 
 
+def test_construct_then_verify_past_vertex_enumeration_cap(tmp_path, capsys):
+    m = write_matrix(tmp_path, "ball.json", np.eye(24).tolist())
+    code, out, _ = run_cli(capsys, ["construct", "--matrix", m, "--functional", "facet"])
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert doc["certificate"]["equality_residuals"]["inscribed"] <= 1e-12
+    pe_path = tmp_path / "p.json"
+    pe_path.write_text(json.dumps(doc["parallelepiped"]))
+    code, out, _ = run_cli(capsys, ["verify", "--matrix", m, "--parallelepiped", str(pe_path)])
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["inscribed"] is True
+    assert res["max_vertex_residual"] <= 1e-12
+
+
 def test_asymmetric_matrix_rejected(tmp_path, capsys):
     m = write_matrix(tmp_path, "a.json", [[1.0, 0.5], [0.0, 1.0]])
     code, out, err = run_cli(capsys, ["bounds", "--matrix", m])

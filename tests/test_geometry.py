@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from inscribed_extrema import (
     DegenerateParallelepiped,
     Ellipsoid,
+    construct_S_max,
     NotInscribed,
     NotOrthotope,
     NotPositiveDefinite,
@@ -104,6 +107,63 @@ def test_all_plus_vertex_is_half_edge_sum():
     q = random_orthotope(3, rng)
     p = orthotope_to_parallelepiped(e, q)
     assert_allclose(all_plus_vertex(p), 0.5 * p.V.sum(axis=1), atol=1e-14)
+
+
+def enumerated_max_residual(e, p):
+    """The reference is_inscribed bounds: the worst of all 2^n vertex residuals."""
+    x = vertices(p)
+    return float(np.max(np.abs(np.einsum("ij,jk,ik->i", x, e.C, x) - 1.0)))
+
+
+def cross_check_inputs(n, rng):
+    """(kind, ellipsoid, parallelepiped): constructed, 1e-6 noise on V, and a
+    single-pair orthogonality break <w_i, w_j> = delta as in criterion 9."""
+    for _ in range(4):
+        e = Ellipsoid(random_spd(n, rng))
+        q = random_orthotope(n, rng)
+        p = orthotope_to_parallelepiped(e, q)
+        yield "constructed", e, p
+        yield "noise", e, Parallelepiped(p.V + 1e-6 * rng.standard_normal((n, n)))
+        w = q.U * q.lam
+        i, j = rng.choice(n, size=2, replace=False)
+        w[:, j] += (1e-4 * (1.0 + rng.random()) / q.lam[i]) * q.U[:, i]
+        yield "pair_break", e, Parallelepiped(e.B @ w)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_inscribed_residual_bounds_every_vertex(n):
+    rng = np.random.default_rng(30 + n)
+    tol = 1e-9
+    for kind, e, p in cross_check_inputs(n, rng):
+        rep = is_inscribed(e, p, tol=tol)
+        worst = enumerated_max_residual(e, p)
+        assert worst <= rep.max_residual + 1e-13, (kind, worst, rep.max_residual)
+        if n == 2 and kind != "constructed":
+            assert abs(rep.max_residual - worst) <= 1e-13, (kind, worst, rep.max_residual)
+        if worst >= 10.0 * tol or worst <= 0.1 * tol:
+            assert rep.inscribed == (worst <= tol), (kind, worst, rep.max_residual)
+
+
+@pytest.mark.parametrize("n", [24, 64])
+def test_certificates_past_vertex_enumeration_cap(n):
+    _, cert = construct_S_max(Ellipsoid.ball(n))
+    assert cert.equality_residuals["inscribed"] <= 1e-12
+
+
+def test_is_inscribed_allocates_no_vertex_arrays():
+    n = 16
+    e = Ellipsoid(random_spd(n, np.random.default_rng(16)))
+    p = orthotope_to_parallelepiped(e, random_orthotope(n, np.random.default_rng(17)))
+    is_inscribed(e, p)  # warm up numpy's lazily loaded paths
+    tracemalloc.start()
+    try:
+        rep = is_inscribed(e, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.inscribed
+    # enumeration allocated 2^16 x 16 float64 arrays of 8 MB each
+    assert peak < 1_000_000
 
 
 def test_not_inscribed_detected():
