@@ -134,8 +134,8 @@ def is_inscribed(e, p, tol=DEFAULT_TOLERANCES.inscribed_tol):
     |tr G / 4 - 1| + (1/4) sum_{i != j} |G_ij|. The bound is exact for
     n <= 2, vanishes exactly when W has orthogonal columns with
     sum ||w_i||^2 = 4 (the classification), costs O(n^3) and enumerates no
-    vertex. Rounding in G can put it below the enumerated maximum by a few
-    ulps (about 2e-15 at n <= 12).
+    vertex. It rounds differently from an enumeration through C, so it can
+    read a few ulps below the enumerated maximum (at most 2.3e-15 seen).
     """
     if e.n != p.n:
         raise DimensionMismatch("ellipsoid and parallelepiped dimensions differ")

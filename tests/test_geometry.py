@@ -7,13 +7,13 @@ from numpy.testing import assert_allclose
 from inscribed_extrema import (
     DegenerateParallelepiped,
     Ellipsoid,
-    construct_S_max,
     NotInscribed,
     NotOrthotope,
     NotPositiveDefinite,
     Parallelepiped,
     SphereOrthotope,
     all_plus_vertex,
+    construct_S_max,
     is_inscribed,
     orthotope_to_parallelepiped,
     parallelepiped_to_orthotope,
@@ -162,7 +162,7 @@ def test_is_inscribed_allocates_no_vertex_arrays():
     finally:
         tracemalloc.stop()
     assert rep.inscribed
-    # enumeration allocated 2^16 x 16 float64 arrays of 8 MB each
+    # one 2^16 x 16 float64 vertex array alone is 8 MB
     assert peak < 1_000_000
 
 
