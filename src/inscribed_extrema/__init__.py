@@ -39,7 +39,7 @@ from .errors import (
     NotOrthotope,
     NotPositiveDefinite,
     NotRowConstant,
-    SingularGram,
+    OutOfRange,
     UnsupportedCase,
     WrongDimension,
 )

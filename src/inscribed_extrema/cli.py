@@ -34,6 +34,7 @@ from .functionals import (
     bound_L_max,
     bound_S_max,
     edge_length_total_edges,
+    exp_in_range,
     facet_area_total_gram,
 )
 from .geometry import Ellipsoid, Parallelepiped, is_inscribed, orthotope_to_parallelepiped
@@ -184,7 +185,7 @@ def _cmd_bounds(args):
         "S_max": bound_S_max(e),
         "tr_A": float(np.trace(e.A)),
         "tr_C": float(np.trace(e.C)),
-        "det_A": float(np.prod(e.eigenvalues)),
+        "det_A": exp_in_range(e.log_det, "det A"),
     }, None
 
 

@@ -73,23 +73,21 @@ class ExtremalCertificate:
         }
 
 
-def _make_certificate(e, q, kind, bound, residuals):
+def _make_certificate(e, q, kind, bound, residuals, x0):
+    """Certificate of q against bound; x0 is the prescribed all-plus vertex or
+    None. Equality residuals are relative to their scale (here ||x0||)."""
     p = geometry.orthotope_to_parallelepiped(e, q)
-    residuals = dict(residuals)
-    residuals["inscribed"] = geometry.is_inscribed(e, p).max_residual
+    if x0 is not None:
+        vertex = np.linalg.norm(geometry.all_plus_vertex(p) - x0) / np.linalg.norm(x0)
+        residuals = {"vertex": float(vertex), **residuals}
+    residuals = {**residuals, "inscribed": geometry.is_inscribed(e, p).max_residual}
     if kind == "edge_length":
         achieved = functionals.edge_length_total(e, q)
     else:
         achieved = functionals.facet_area_total_gram(p)
         factored = functionals.facet_area_total_factored(e, q)
         residuals["factored_vs_gram"] = abs(factored.value - achieved.value) / achieved.value
-    gap = (bound - achieved.value) / bound
-    return ExtremalCertificate(
-        achieved=achieved,
-        bound=bound,
-        relative_gap=gap,
-        equality_residuals=residuals,
-    )
+    return ExtremalCertificate(achieved, bound, (bound - achieved.value) / bound, residuals)
 
 
 def construct_L_max(e, u=None, seed=0):
@@ -109,11 +107,9 @@ def construct_L_max(e, u=None, seed=0):
     lam = 2.0 * np.sqrt(g) / root_tr
     q = geometry.SphereOrthotope(u, lam)
     prop = float(np.max(np.abs(lam * root_tr - 2.0 * np.sqrt(g))))
-    cert = _make_certificate(
-        e, q, "edge_length", functionals.bound_L_max(e),
-        {"lambda_proportionality": prop},
+    return q, _make_certificate(
+        e, q, "edge_length", functionals.bound_L_max(e), {"lambda_proportionality": prop}, None
     )
-    return q, cert
 
 
 def construct_S_max(e):
@@ -128,12 +124,11 @@ def construct_S_max(e):
     u = qc @ rep.V
     lam = np.full(n, 2.0 / math.sqrt(n))
     q = geometry.SphereOrthotope(u, lam)
-    dev = float(np.max(np.abs(functionals.diag_quadratic(u, e.C) - np.sum(w) / n)))
-    cert = _make_certificate(
-        e, q, "facet_area", functionals.bound_S_max(e),
-        {"diagonal_equalization": dev},
+    t = np.sum(w) / n
+    dev = float(np.max(np.abs(functionals.diag_quadratic(u, e.C) - t)) / t)
+    return q, _make_certificate(
+        e, q, "facet_area", functionals.bound_S_max(e), {"diagonal_equalization": dev}, None
     )
-    return q, cert
 
 
 def vertex_lambdas(u, y0, degenerate_tol=1e-12):
@@ -185,13 +180,9 @@ def construct_vertex_2d(e, x0, functional="edge_length"):
             raise DegenerateVertex("both bisection roots give a vanishing edge")
     u_fixed, lam = vertex_lambdas(linalg.givens(2, 0, 1, theta), y0)
     q = geometry.SphereOrthotope(u_fixed, lam)
-    p = geometry.orthotope_to_parallelepiped(e, q)
-    vertex_res = float(np.linalg.norm(geometry.all_plus_vertex(p) - vc.x0))
-    cert = _make_certificate(
-        e, q, functional, functionals.bound_L_max(e),
-        {"vertex": vertex_res, "root": abs(f_value(theta))},
+    return q, _make_certificate(
+        e, q, functional, functionals.bound_L_max(e), {"root": abs(f_value(theta))}, vc.x0
     )
-    return q, cert
 
 
 def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
@@ -226,18 +217,13 @@ def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     )
     rep = equalizer.equalize_diagonal_barycentric(m, tol=tol, seed=seed, row_tol=row_tol)
     q = geometry.SphereOrthotope(u0 @ rep.V, np.full(n, 2.0 / math.sqrt(n)))
-    p = geometry.orthotope_to_parallelepiped(e, q)
-    vertex_res = float(np.linalg.norm(geometry.all_plus_vertex(p) - vc.x0))
-    dev = float(np.max(np.abs(functionals.diag_quadratic(q.U, e.C) - np.trace(e.C) / n)))
-    cert = _make_certificate(
+    t = np.trace(e.C) / n
+    dev = float(np.max(np.abs(functionals.diag_quadratic(q.U, e.C) - t)) / t)
+    bary = float(np.max(np.abs(q.U.T @ y0 - 1.0 / math.sqrt(n))))
+    return q, _make_certificate(
         e, q, "facet_area", functionals.bound_S_max(e),
-        {
-            "vertex": vertex_res,
-            "diagonal_equalization": dev,
-            "barycentric": float(np.max(np.abs(q.U.T @ y0 - 1.0 / math.sqrt(n)))),
-        },
+        {"diagonal_equalization": dev, "barycentric": bary}, vc.x0,
     )
-    return q, cert
 
 
 def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
@@ -276,14 +262,10 @@ def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
         )
     q = geometry.SphereOrthotope(*vertex_lambdas(rep.V, vc.y0))
     z = q.U.T @ vc.y0
-    cond_res = float(np.linalg.norm(functionals.diag_quadratic(q.U, e.A) - tr_a * z * z))
-    p = geometry.orthotope_to_parallelepiped(e, q)
-    vertex_res = float(np.linalg.norm(geometry.all_plus_vertex(p) - vc.x0))
-    cert = _make_certificate(
-        e, q, "edge_length", functionals.bound_L_max(e),
-        {"vertex": vertex_res, "restricted_diagonal": cond_res},
+    cond_res = float(np.linalg.norm(functionals.diag_quadratic(q.U, e.A) - tr_a * z * z) / tr_a)
+    return q, _make_certificate(
+        e, q, "edge_length", functionals.bound_L_max(e), {"restricted_diagonal": cond_res}, vc.x0
     )
-    return q, cert
 
 
 def construct_through_vertex(

@@ -103,12 +103,13 @@ def equalize_diagonal(m, tol=1e-12):
     Pinning scheme: rotate the (argmax, argmin) diagonal pair so the larger
     entry lands exactly on tr(M)/n, then freeze that index. The angle solves
     (a+c)/2 + ((a-c)/2) cos 2t + b sin 2t = tr(M)/n, always solvable because
-    the active maximum and minimum straddle the mean.
+    the active maximum and minimum straddle the mean. Entries count as equal
+    within tol max|M|, so the scale of M does not matter.
     """
     m = linalg.sym_matrix(m)
     n = m.shape[0]
     t = float(np.trace(m)) / n
-    entry_tol = tol * (1.0 + abs(t))
+    entry_tol = tol * float(np.max(np.abs(m)))
     v = np.eye(n)
     w = m.copy()
     active = list(range(n))

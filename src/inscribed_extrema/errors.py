@@ -25,8 +25,8 @@ class NotPositiveDefinite(InscribedExtremaError):
     pass
 
 
-class SingularGram(InscribedExtremaError):
-    pass
+class OutOfRange(InscribedExtremaError):
+    """A result that float64 cannot hold as a normal number (beyond about 1e+-308)."""
 
 
 class NonPositiveInput(InscribedExtremaError):

@@ -4,7 +4,10 @@ auxiliary inequality quantities used by the property suites.
 For an orthotope (U, lambda) on the unit sphere mapped into E by B:
     L = 2^(n-1) * sum_i lambda_i * sqrt(u_i^T A u_i)
     S = 2 * sum_i sqrt(det G_{-i,-i})      (Gram route, G = V^T V)
+      = 2 * |det V| * sum_i ||row i of V^-1||
       = 2 * sqrt(det A) * prod(lambda) * sum_i sqrt((U^T C U)_ii) / lambda_i
+The middle form is the adjugate identity det G_{-i,-i} = det G (G^-1)_ii.
+S and its bound are formed in logs: exact wherever float64 holds S, else OutOfRange.
 
 ``evaluate`` is the one implementation of L and the factored S; it and the
 sampling helpers (phi, beta_product_sum, maclaurin_gap) accept either a
@@ -20,11 +23,12 @@ from .errors import (
     ConstraintViolated,
     DimensionMismatch,
     NonPositiveInput,
-    SingularGram,
+    OutOfRange,
     WrongDimension,
 )
 
 CONSTRAINT_TOL = 1e-10
+LOG_MIN, LOG_MAX = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,17 @@ def evaluate(e, u, lam, functional):
         g = diag_quadratic(u, e.A)
         return 2.0 ** (e.n - 1) * np.sum(lam * np.sqrt(g), axis=-1)
     gc = diag_quadratic(u, e.C)
-    det_a = float(np.prod(e.eigenvalues))
-    return (
-        2.0 * math.sqrt(det_a) * np.prod(lam, axis=-1) * np.sum(np.sqrt(gc) / lam, axis=-1)
-    )
+    log_rest = np.sum(np.log(lam), axis=-1) + np.log(np.sum(np.sqrt(gc) / lam, axis=-1))
+    return 2.0 * np.exp(0.5 * e.log_det + log_rest)
+
+
+def exp_in_range(log_value, what):
+    """exp(log_value), or OutOfRange when float64 cannot hold it as a normal
+    number. A NaN passes through, for the caller's finiteness check."""
+    if log_value > LOG_MAX or log_value < LOG_MIN:
+        kind = "not finite" if log_value > 0 else "below the smallest normal number"
+        raise OutOfRange(f"{what} = exp({log_value:.6g}) is {kind} in float64")
+    return math.exp(log_value)
 
 
 def _orthotope_value(e, q, functional):
@@ -77,19 +88,13 @@ def edge_length_total_edges(p):
 
 
 def facet_area_total_gram(p):
-    """S from principal minors of the Gram matrix (the primary evaluator)."""
-    g = p.gram()
-    n = p.n
-    idx = np.arange(n)
-    total = 0.0
-    for i in range(n):
-        keep = idx != i
-        minor = np.linalg.det(g[np.ix_(keep, keep)])
-        if minor <= 0.0:
-            raise SingularGram(f"principal minor {i} is not positive ({minor:.3e})")
-        total += np.sqrt(minor)
+    """S = 2 |det V| sum_i ||row i of V^-1|| (the primary evaluator), with
+    sigma_max ||row i of V^-1|| = ||Wt[:, i] / r||, r = sigma / sigma_max."""
+    r = p.sigma / p.sigma[0]
+    rows = float(np.sum(np.sqrt(np.sum((p.Wt / r[:, None]) ** 2, axis=0))))
+    log_s = (p.n - 1) * math.log(p.sigma[0]) + float(np.sum(np.log(r))) + math.log(2.0 * rows)
     lens = np.linalg.norm(p.V, axis=0)
-    return FunctionalValue(float(2.0 * total), "facet_area", float(lens.max() / lens.min()))
+    return FunctionalValue(exp_in_range(log_s, "S"), "facet_area", float(lens.max() / lens.min()))
 
 
 def facet_area_total_factored(e, q):
@@ -105,9 +110,9 @@ def bound_L_max(e):
 def bound_S_max(e):
     """Sharp upper bound 2^n n^(-(n-2)/2) sqrt(det A) sqrt(tr A^-1)."""
     n = e.n
-    det_a = float(np.prod(e.eigenvalues))
     tr_c = float(np.sum(1.0 / e.eigenvalues))
-    return 2.0**n * n ** (-(n - 2) / 2.0) * np.sqrt(det_a) * np.sqrt(tr_c)
+    log_s = n * math.log(2.0) - 0.5 * (n - 2) * math.log(n) + 0.5 * (e.log_det + math.log(tr_c))
+    return exp_in_range(log_s, "S_max")
 
 
 def phi(lam):

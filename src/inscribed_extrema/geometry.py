@@ -6,7 +6,6 @@ inscribed in E correspond exactly to orthotopes Q = B^{-1}P inscribed in the
 sphere, whose edge lengths satisfy sum(lambda_i^2) = 4.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +22,12 @@ from .errors import (
 
 LAMBDA_SUM_TOL = 1e-10
 VERTEX_ENUM_CAP = 20  # caps vertex listing (tangent_normals_dump); inscription needs none
-DET_REL_FLOOR = 1e-12
+SIGMA_REL_FLOOR = 1e-12
 
 
 class Ellipsoid:
-    """SPD matrix A with cached square root B and inverse C."""
+    """SPD matrix A with cached square root B, inverse C and log det A (the
+    one determinant of A: det(10^k A) = 10^(nk) det A leaves float64 early)."""
 
     def __init__(self, a):
         self.A = linalg.spd_matrix(a)
@@ -35,6 +35,7 @@ class Ellipsoid:
         w, q = np.linalg.eigh(self.A)
         self.eigenvalues = w
         self.eigenvectors = q
+        self.log_det = float(np.sum(np.log(w)))
         self.B = linalg.sym_matrix((q * np.sqrt(w)) @ q.T)
         self.Binv = linalg.sym_matrix((q / np.sqrt(w)) @ q.T)
         self.C = linalg.sym_matrix((q / w) @ q.T)
@@ -73,19 +74,16 @@ class SphereOrthotope:
 
 
 class Parallelepiped:
-    """Edge vectors as the columns of V; centered at the origin."""
+    """Edge vectors as the columns of V; centered at the origin. Keeps the SVD
+    V = U diag(sigma) Wt; rank is decided by sigma_min / sigma_max, which
+    unlike |det V| / ||V||^n neither scale nor n moves."""
 
     def __init__(self, v):
         self.V = linalg.as_square(np.asarray(v, dtype=float))
         self.n = self.V.shape[0]
-        # |det V| <= DET_REL_FLOOR ||V||^n, in logs so extreme scales cannot overflow
-        scale = float(np.linalg.norm(self.V, 2))
-        sign, logdet = np.linalg.slogdet(self.V)
-        if sign == 0 or logdet <= math.log(DET_REL_FLOOR) + self.n * math.log(scale):
+        _, self.sigma, self.Wt = np.linalg.svd(self.V)
+        if not self.sigma[-1] > SIGMA_REL_FLOOR * self.sigma[0]:
             raise DegenerateParallelepiped("edge vectors are numerically dependent")
-
-    def gram(self):
-        return self.V.T @ self.V
 
     def to_dict(self):
         # JSON rows are edge vectors

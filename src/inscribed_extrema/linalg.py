@@ -1,4 +1,4 @@
-"""Dense kernels for small n (n <= ~16), each with one implementation.
+"""Dense kernels for any n, each with one implementation.
 
 Symmetric/orthogonal validation, Haar sampling, Givens rotations and the
 bracketed scalar root. Everything operates on plain float64 ndarrays.

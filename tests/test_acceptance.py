@@ -271,7 +271,7 @@ def test_criterion_8_route_equivalence():
     ok = worst <= 1e-10
     detail = (
         f"1400 instances over n=2..8: max relative disagreement between "
-        f"Gram-minor and factored facet totals {worst:.2e}"
+        f"Gram-route (SVD of V) and factored facet totals {worst:.2e}"
     )
     assert record_criterion(8, ok, detail), detail
 

@@ -427,7 +427,7 @@ def test_non_finite_result_refused_not_printed(tmp_path, capsys):
 
 
 def test_huge_ball_determinant_floor_does_not_overflow(tmp_path, capsys):
-    # ||V||^n overflows a float at this scale; the floor is compared in logs
+    # ||V||^n overflows a float at this scale; degeneracy is decided by sigma_min / sigma_max
     m = write_matrix(tmp_path, "a.json", (1e200 * np.eye(8)).tolist())
     code, out, _ = run_cli(capsys, ["construct", "--matrix", m, "--functional", "edge"])
     assert code == 0
@@ -436,6 +436,44 @@ def test_huge_ball_determinant_floor_does_not_overflow(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "not finite" in err
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("k", range(-300, 301, 100))
+def test_extreme_scales_exit_cleanly(tmp_path, capsys, k):
+    # every value either fits in float64 and is printed as strict JSON, or
+    # the request exits 1 with a message; no raw exception escapes
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    a = (q * np.array([0.2, 1.0, 7.0])) @ q.T
+    a = 0.5 * (a + a.T)
+    m = write_matrix(tmp_path, "a.json", (10.0**k * a).tolist())
+    ref = write_matrix(tmp_path, "ref.json", a.tolist())
+    code, out, _ = run_cli(capsys, ["construct", "--matrix", ref, "--functional", "edge"])
+    assert code == 0
+    edges = np.asarray(json.loads(out)["result"]["parallelepiped"]["edges"]) * 10.0 ** (k / 2)
+    par = tmp_path / "p.json"
+    par.write_text(json.dumps({"n": 3, "edges": edges.tolist()}))
+    for argv in (
+        ["bounds", "--matrix", m],
+        ["construct", "--matrix", m, "--functional", "edge"],
+        ["construct", "--matrix", m, "--functional", "facet"],
+        ["verify", "--matrix", m, "--parallelepiped", str(par)],
+        ["equalize", "--matrix", m],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code in (0, 1), argv
+        if code == 0:
+            _strict_json(out)
+        else:
+            assert out == ""
+            assert any(line.startswith("error:") for line in err.splitlines()), err
 
 
 def test_linear_algebra_failure_exits_1(tmp_path, capsys, monkeypatch):

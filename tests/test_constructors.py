@@ -87,6 +87,14 @@ def test_construct_S_max_reference_value():
     assert abs(float(cert.achieved) - 32.331615074619044) < 1e-10
 
 
+def test_construct_S_max_residuals_are_relative():
+    # C = diag(1e11, 1, 1): the equalized diagonal sits near 3.3e10, where an
+    # absolute residual reads round-off as a defect of the frame
+    _, cert = construct_S_max(Ellipsoid(np.diag([1e-11, 1.0, 1.0])))
+    assert cert.equality_residuals["diagonal_equalization"] <= 1e-14
+    assert abs(cert.relative_gap) <= 1e-12
+
+
 # ---------------------------------------------------------------- 2D vertex
 
 

@@ -56,6 +56,17 @@ def test_equalize_diagonal_basic(n):
         assert abs(np.linalg.norm(w) - np.linalg.norm(m)) <= 1e-10 * np.linalg.norm(m)
 
 
+@pytest.mark.parametrize("s", [1e-150, 1.0, 1e150])
+def test_equalize_diagonal_is_scale_free(s):
+    # the acceptance threshold scales with M: an absolute one would accept
+    # any tiny matrix untouched
+    m = s * random_symmetric(6, np.random.default_rng(31))
+    rep = equalize_diagonal(m)
+    assert rep.converged
+    d = np.diag(rep.V.T @ m @ rep.V)
+    assert np.max(np.abs(d - np.trace(m) / 6)) <= 1e-12 * np.max(np.abs(m))
+
+
 def test_equalize_diagonal_already_flat():
     m = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
     rep = equalize_diagonal(m)

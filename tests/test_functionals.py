@@ -6,6 +6,7 @@ from inscribed_extrema import (
     ConstraintViolated,
     Ellipsoid,
     NonPositiveInput,
+    Parallelepiped,
     SphereOrthotope,
     WrongDimension,
     beta_product_sum,
@@ -65,6 +66,19 @@ def test_gram_and_factored_agree(n):
         s1 = float(facet_area_total_gram(p))
         s2 = float(facet_area_total_factored(e, q))
         assert abs(s1 - s2) <= 1e-10 * s1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
+def test_gram_route_matches_principal_minors(n):
+    # reference: S = 2 sum_i sqrt(det G_{-i,-i}) with G = V^T V, minor by
+    # minor, on general (skew, unequal) edges rather than inscribed ones
+    rng = np.random.default_rng(60 + n)
+    for _ in range(25):
+        v = rng.standard_normal((n, n))
+        g = v.T @ v
+        keep = ~np.eye(n, dtype=bool)
+        ref = 2.0 * sum(np.sqrt(np.linalg.det(g[np.ix_(k, k)])) for k in keep)
+        assert float(facet_area_total_gram(Parallelepiped(v))) == pytest.approx(ref, rel=1e-11)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -1,0 +1,103 @@
+"""The paper's problem is scale-free and rotation-equivariant, and so must the
+code be: A -> sA scales L by sqrt(s) and S by s^((n-1)/2), A -> R A R^T
+changes neither bound nor certificate, and neither needs a small n.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from inscribed_extrema import (
+    Ellipsoid,
+    OutOfRange,
+    Parallelepiped,
+    bound_L_max,
+    bound_S_max,
+    construct_L_max,
+    construct_S_max,
+    facet_area_total_gram,
+    is_inscribed,
+    orthotope_to_parallelepiped,
+    random_orthogonal,
+)
+from inscribed_extrema.functionals import edge_length_total_edges
+
+REL = 1e-12
+LOG10 = math.log(10.0)
+
+
+def random_spd(n, rng, lo=0.1, hi=10.0):
+    q = random_orthogonal(n, rng)
+    ev = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
+    return (q * ev) @ q.T
+
+
+def values(e, seed):
+    """Bounds, both constructions' achieved values and the verify values of the L one."""
+    q_l, c_l = construct_L_max(e, seed=seed)
+    _, c_s = construct_S_max(e)
+    p = orthotope_to_parallelepiped(e, q_l)
+    return {
+        "L_max": bound_L_max(e),
+        "S_max": bound_S_max(e),
+        "L_construct": c_l.achieved.value,
+        "S_construct": c_s.achieved.value,
+        "L_verify": edge_length_total_edges(p).value,
+        "S_verify": facet_area_total_gram(p).value,
+    }, p
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("k", [-100, -30, 0, 30, 100])
+def test_scaling_law(n, k):
+    a = random_spd(n, np.random.default_rng((n, 7)))
+    ref, p = values(Ellipsoid(a), seed=n)
+    s = 10.0**k
+    e = Ellipsoid(s * a)
+    # S of an (n-1)-dimensional facet picks up s^((n-1)/2); where that leaves
+    # the float64 range the S values must refuse, not round to 0 or inf
+    log_s = math.log(ref["S_max"]) + 0.5 * (n - 1) * k * LOG10
+    if not math.log(np.finfo(float).tiny) < log_s < math.log(np.finfo(float).max):
+        with pytest.raises(OutOfRange):
+            bound_S_max(e)
+        with pytest.raises(OutOfRange):
+            construct_S_max(e)
+        return
+    got, _ = values(e, seed=n)
+    for key, value in got.items():
+        power = 0.5 if key.startswith("L") else 0.5 * (n - 1)
+        assert value == pytest.approx(ref[key] * s**power, rel=REL), key
+    # the reference parallelepiped, rescaled, verifies against sA unchanged
+    p_s = Parallelepiped(math.sqrt(s) * p.V)
+    s_verify = ref["S_verify"] * s ** (0.5 * (n - 1))
+    assert facet_area_total_gram(p_s).value == pytest.approx(s_verify, rel=REL)
+    assert is_inscribed(e, p_s).max_residual <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_rotation_and_permutation_invariance(n):
+    rng = np.random.default_rng((n, 11))
+    a = random_spd(n, rng)
+    e = Ellipsoid(a)
+    _, c_l = construct_L_max(e, seed=1)
+    _, c_s = construct_S_max(e)
+    for r in (random_orthogonal(n, rng), np.eye(n)[rng.permutation(n)]):
+        e_r = Ellipsoid(r @ a @ r.T)
+        assert bound_L_max(e_r) == pytest.approx(bound_L_max(e), rel=REL)
+        assert bound_S_max(e_r) == pytest.approx(bound_S_max(e), rel=REL)
+        _, c_lr = construct_L_max(e_r, seed=1)
+        _, c_sr = construct_S_max(e_r)
+        assert abs(c_lr.relative_gap - c_l.relative_gap) <= REL
+        assert abs(c_sr.relative_gap - c_s.relative_gap) <= REL
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_global_constructions_certified_at_large_n(n):
+    # cond(A) <= 100: the edges are well conditioned, and only a floor that
+    # drifts with n (|det V| against ||V||^n) would reject them
+    for i in range(3):
+        e = Ellipsoid(random_spd(n, np.random.default_rng((n, i))))
+        for q, cert in (construct_L_max(e, seed=i), construct_S_max(e)):
+            assert abs(cert.relative_gap) <= REL
+            assert is_inscribed(e, orthotope_to_parallelepiped(e, q)).inscribed
