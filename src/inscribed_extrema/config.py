@@ -1,4 +1,4 @@
-"""Tolerance knobs used across constructions and checks."""
+"""Defaults of the tolerances a caller can set; each is also a CLI flag."""
 
 from dataclasses import dataclass
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 class ToleranceConfig:
     """Default numeric tolerances.
 
-    ortho_tol: max |U^T U - I| entry for a frame to count as orthonormal.
     inscribed_tol: threshold on the inscription residual, an upper bound on
         |v^T A^{-1} v - 1| over all 2^n vertices computed from the Gram
         matrix of B^{-1}V (see geometry.is_inscribed).
@@ -16,7 +15,6 @@ class ToleranceConfig:
         a value is flagged as a violation.
     """
 
-    ortho_tol: float = 1e-10
     inscribed_tol: float = 1e-9
     equalizer_tol: float = 1e-10
     bound_slack: float = 1e-9

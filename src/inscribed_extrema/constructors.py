@@ -1,14 +1,14 @@
 """Extremal inscribed parallelepipeds.
 
 Global maximizers for both functionals, and vertex-constrained maximizers in
-the cases with a construction: any boundary point for n=2, any boundary
-point for the edge length (the free-z residual
-equalizer.restricted_l_residual), and eigenvector boundary points for the
-facet area when n >= 3 (the barycentric equalizer). Both solve their
-diagonal conditions with equalizer.multistart. The facet-area case through
-a general boundary point for n >= 3 is open; the dispatcher routes it to
-UnsupportedCase and the oracle explorer, on the same solver, gathers
-evidence instead.
+the cases with a construction: any boundary point for n=2 (the exact root
+of one trigonometric equation), any boundary point for the edge length (the
+free-z residual equalizer.restricted_l_residual), and eigenvector boundary
+points for the facet area when n >= 3 (the barycentric equalizer). The two
+n >= 3 cases solve their diagonal conditions with equalizer.multistart. The
+facet-area case through a general boundary point for n >= 3 is open; the
+dispatcher routes it to UnsupportedCase and the oracle explorer, on the
+same solver, gathers evidence instead.
 """
 
 import itertools
@@ -31,6 +31,7 @@ from .errors import (
 
 EIGENVECTOR_TOL = 1e-8   # deliberately loose; final vertex residuals are the real gate
 BOUNDARY_TOL = 1e-10
+DEGENERATE_TOL = 1e-12  # smallest |z_i| = |u_i . y0| that still gives a nondegenerate edge
 # free-z starts the edge-length vertex construction tries before giving up
 EDGE_STARTS = 60
 
@@ -43,13 +44,13 @@ class VertexConstraint:
     y0: np.ndarray
 
     @classmethod
-    def from_point(cls, e, x0, boundary_tol=BOUNDARY_TOL):
+    def from_point(cls, e, x0):
         x0 = np.asarray(x0, dtype=float).ravel()
         if x0.size != e.n:
             raise DimensionMismatch("vertex dimension does not match the ellipsoid")
         res = e.boundary_residual(x0)
-        if res > boundary_tol:
-            raise NotOnBoundary(f"|x0^T C x0 - 1| = {res:.3e} > {boundary_tol:.1e}")
+        if res > BOUNDARY_TOL:
+            raise NotOnBoundary(f"|x0^T C x0 - 1| = {res:.3e} > {BOUNDARY_TOL:.1e}")
         y0 = e.Binv @ x0
         y0 = y0 / np.linalg.norm(y0)
         return cls(x0=x0, y0=y0)
@@ -131,13 +132,13 @@ def construct_S_max(e):
     )
 
 
-def vertex_lambdas(u, y0, degenerate_tol=1e-12):
+def vertex_lambdas(u, y0):
     """Flip column signs so the all-plus vertex of (U', 2|U^T y0|) is y0."""
     u = np.asarray(u, dtype=float)
     y0 = linalg.unit_vector(y0)
     z = u.T @ y0
     small = float(np.min(np.abs(z)))
-    if small < degenerate_tol:
+    if small < DEGENERATE_TOL:
         raise DegenerateVertex(
             f"frame has an edge direction orthogonal to the vertex (|z|_min = {small:.1e})"
         )
@@ -145,43 +146,35 @@ def vertex_lambdas(u, y0, degenerate_tol=1e-12):
     return u_fixed, 2.0 * np.abs(z)
 
 
+def _restricted_diagonal(e, u, y0):
+    """||diag(U^T A U) - tr(A) z*z|| / tr A, z = U^T y0: the edge-length equality residual."""
+    tr_a = float(np.trace(e.A))
+    z = u.T @ y0
+    return float(np.linalg.norm(functionals.diag_quadratic(u, e.A) - tr_a * z * z) / tr_a)
+
+
 def construct_vertex_2d(e, x0, functional="edge_length"):
     """Maximal-perimeter parallelogram through a prescribed boundary point.
 
-    Solves F(theta) = arctan sqrt(g11/g22) - atan2(beta1, beta2) = 0 by
-    bisection; F is antisymmetric under a quarter turn, which supplies the
-    bracket. At a root the Cauchy-Schwarz equality condition holds, so the
-    perimeter reaches 4 sqrt(tr A) while the all-plus vertex stays at x0.
+    With u1 = (cos theta, sin theta), the equality condition g11 = tr(A) z1^2
+    reads alpha cos 2theta + beta sin 2theta = 0 (alpha = beta = 0 would make
+    A singular). Its roots repeat every quarter turn; the one in [b, b + pi/2),
+    b = atan2(y2, y1) + pi/4, is taken. There z_i^2 = g_ii / tr A > 0, so no
+    edge vanishes, and the perimeter reaches 4 sqrt(tr A) with the vertex at x0.
     """
     if e.n != 2:
         raise WrongDimension("this construction is planar")
     vc = VertexConstraint.from_point(e, x0)
-    y0 = vc.y0
-    base = math.atan2(y0[1], y0[0]) + 0.25 * math.pi
-
-    def f_value(theta):
-        u = linalg.givens(2, 0, 1, theta)
-        g = functionals.diag_quadratic(u, e.A)
-        beta = np.abs(u.T @ y0)
-        return math.atan(math.sqrt(g[0] / g[1])) - math.atan2(beta[0], beta[1])
-
-    def solve(theta_lo):
-        f_lo = f_value(theta_lo)
-        # antisymmetry under the quarter turn supplies the bracket
-        return linalg.bracketed_root(f_value, theta_lo, theta_lo + 0.5 * math.pi, f_lo, -f_lo)
-
-    theta = solve(base)
-    z = linalg.givens(2, 0, 1, theta).T @ y0
-    if float(np.min(np.abs(z))) < 1e-8:
-        # degenerate root; shift the bracket and take the other orientation
-        theta = solve(base + 1e-4)
-        z = linalg.givens(2, 0, 1, theta).T @ y0
-        if float(np.min(np.abs(z))) < 1e-8:
-            raise DegenerateVertex("both bisection roots give a vanishing edge")
-    u_fixed, lam = vertex_lambdas(linalg.givens(2, 0, 1, theta), y0)
-    q = geometry.SphereOrthotope(u_fixed, lam)
+    (y1, y2), a = vc.y0, e.A
+    tr_a = float(np.trace(a))
+    alpha = 0.5 * (a[0, 0] - a[1, 1]) - 0.5 * tr_a * (y1 * y1 - y2 * y2)
+    beta = a[0, 1] - tr_a * y1 * y2
+    base = math.atan2(y2, y1) + 0.25 * math.pi
+    theta = base + (0.5 * math.atan2(beta, alpha) + 0.25 * math.pi - base) % (0.5 * math.pi)
+    q = geometry.SphereOrthotope(*vertex_lambdas(linalg.givens(2, 0, 1, theta), vc.y0))
     return q, _make_certificate(
-        e, q, functional, functionals.bound_L_max(e), {"root": abs(f_value(theta))}, vc.x0
+        e, q, functional, functionals.bound_L_max(e),
+        {"restricted_diagonal": _restricted_diagonal(e, q.U, vc.y0)}, vc.x0,
     )
 
 
@@ -261,10 +254,9 @@ def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
             report=rep,
         )
     q = geometry.SphereOrthotope(*vertex_lambdas(rep.V, vc.y0))
-    z = q.U.T @ vc.y0
-    cond_res = float(np.linalg.norm(functionals.diag_quadratic(q.U, e.A) - tr_a * z * z) / tr_a)
     return q, _make_certificate(
-        e, q, "edge_length", functionals.bound_L_max(e), {"restricted_diagonal": cond_res}, vc.x0
+        e, q, "edge_length", functionals.bound_L_max(e),
+        {"restricted_diagonal": _restricted_diagonal(e, q.U, vc.y0)}, vc.x0,
     )
 
 

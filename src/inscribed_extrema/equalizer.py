@@ -97,7 +97,7 @@ def random_stabilizer(h, rng):
     return h @ block @ h.T
 
 
-def equalize_diagonal(m, tol=1e-12):
+def equalize_diagonal(m, tol=DEFAULT_TOLERANCES.equalizer_tol):
     """Equalize diag(V^T M V) with at most n-1 Givens rotations.
 
     Pinning scheme: rotate the (argmax, argmin) diagonal pair so the larger

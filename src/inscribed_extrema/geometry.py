@@ -21,6 +21,7 @@ from .errors import (
 )
 
 LAMBDA_SUM_TOL = 1e-10
+EDGE_COSINE_TOL = 1e-8  # max |cos| between edges of W = B^-1 V that still counts as orthogonal
 VERTEX_ENUM_CAP = 20  # caps vertex listing (tangent_normals_dump); inscription needs none
 SIGMA_REL_FLOOR = 1e-12
 
@@ -57,8 +58,8 @@ class SphereOrthotope:
     edges w_i = lambda_i u_i, constraint sum(lambda_i^2) = 4.
     """
 
-    def __init__(self, u, lam, ortho_tol=linalg.ORTHO_TOL):
-        self.U = linalg.require_orthogonal(np.asarray(u, dtype=float), tol=ortho_tol)
+    def __init__(self, u, lam):
+        self.U = linalg.require_orthogonal(np.asarray(u, dtype=float))
         self.lam = np.asarray(lam, dtype=float).ravel()
         if self.lam.size != self.U.shape[0]:
             raise DimensionMismatch("lambda length must match frame dimension")
@@ -152,7 +153,7 @@ def orthotope_to_parallelepiped(e, q):
     return Parallelepiped(e.B @ q.U @ np.diag(q.lam))
 
 
-def parallelepiped_to_orthotope(e, p, ortho_tol=1e-8, sum_tol=LAMBDA_SUM_TOL):
+def parallelepiped_to_orthotope(e, p):
     """Invert the reduction: W = B^{-1}V must have orthogonal columns and sum ||w_i||^2 = 4.
 
     Raises NotOrthotope when some pair of columns fails orthogonality (the
@@ -167,9 +168,9 @@ def parallelepiped_to_orthotope(e, p, ortho_tol=1e-8, sum_tol=LAMBDA_SUM_TOL):
     cosines = g / np.outer(lam, lam)
     np.fill_diagonal(cosines, 0.0)
     worst = float(np.max(np.abs(cosines)))
-    if worst > ortho_tol:
+    if worst > EDGE_COSINE_TOL:
         raise NotOrthotope(f"edge directions not orthogonal (max |cos| = {worst:.3e})")
     s = float(np.sum(lam**2))
-    if abs(s - 4.0) > sum_tol:
+    if abs(s - 4.0) > LAMBDA_SUM_TOL:
         raise NotInscribed(f"sum(lambda^2) = {s!r}, expected 4")
     return SphereOrthotope(w / lam, lam)

@@ -1,18 +1,18 @@
 """Dense kernels for any n, each with one implementation.
 
-Symmetric/orthogonal validation, Haar sampling, Givens rotations and the
-bracketed scalar root. Everything operates on plain float64 ndarrays.
-Validation helpers return the cleaned-up array so callers can chain them.
+Symmetric/orthogonal validation, Haar sampling and Givens rotations.
+Everything operates on plain float64 ndarrays. Validation helpers return
+the cleaned-up array so callers can chain them.
 """
 
 import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite, OutOfRange
 
-ORTHO_TOL = DEFAULT_TOLERANCES.ortho_tol
+# max |U^T U - I| entry for a frame to count as orthonormal; also |norm(y) - 1| for a unit vector
+ORTHO_TOL = 1e-10
 SPD_REL_TOL = 1e-12
 
 
@@ -24,20 +24,23 @@ def as_square(a):
 
 
 def sym_matrix(a):
-    """Symmetrize a square array: (A + A^T)/2. Round-off hygiene, not validation."""
+    """Symmetrize a square array as A/2 + A^T/2, finite wherever A is. Not validation."""
     a = as_square(a)
-    return 0.5 * (a + a.T)
+    return 0.5 * a + 0.5 * a.T
 
 
-def spd_matrix(a, rel_tol=SPD_REL_TOL):
+def spd_matrix(a):
     """Symmetrize and verify positive definiteness.
 
-    Raises NotPositiveDefinite when the smallest eigenvalue is not above
-    rel_tol times the largest.
+    Raises OutOfRange when an eigenvalue leaves float64, and
+    NotPositiveDefinite when the smallest eigenvalue is not above
+    SPD_REL_TOL times the largest.
     """
     s = sym_matrix(a)
     w = np.linalg.eigvalsh(s)
-    if w[-1] <= 0 or w[0] <= rel_tol * w[-1]:
+    if not np.all(np.isfinite(w)):
+        raise OutOfRange("matrix eigenvalues are not finite in float64")
+    if w[-1] <= 0 or w[0] <= SPD_REL_TOL * w[-1]:
         raise NotPositiveDefinite(
             f"matrix is not positive definite (eigenvalues {w.min():.3e}..{w.max():.3e})"
         )
@@ -50,19 +53,19 @@ def orthogonality_defect(u):
     return float(np.max(np.abs(u.T @ u - np.eye(n))))
 
 
-def require_orthogonal(u, tol=ORTHO_TOL, name="U"):
+def require_orthogonal(u):
     u = as_square(u)
     d = orthogonality_defect(u)
-    if d > tol:
-        raise DimensionMismatch(f"{name} is not orthogonal (defect {d:.3e} > {tol:.1e})")
+    if d > ORTHO_TOL:
+        raise DimensionMismatch(f"U is not orthogonal (defect {d:.3e} > {ORTHO_TOL:.1e})")
     return u
 
 
-def unit_vector(y, tol=ORTHO_TOL):
+def unit_vector(y):
     y = np.asarray(y, dtype=float).ravel()
     nrm = float(np.linalg.norm(y))
-    if abs(nrm - 1.0) > tol:
-        raise DimensionMismatch(f"vector norm {nrm} is not 1 within {tol:.1e}")
+    if abs(nrm - 1.0) > ORTHO_TOL:
+        raise DimensionMismatch(f"vector norm {nrm} is not 1 within {ORTHO_TOL:.1e}")
     return y
 
 
@@ -119,36 +122,3 @@ def givens(n, i, j, theta):
     g[j, i] = s
     g[i, j] = -s
     return g
-
-
-def bracketed_root(f, lo, hi, f_lo, f_hi):
-    """Root of f inside [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
-
-    30 bisection steps, then up to three secant steps that stay in the bracket.
-    """
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    a, b = lo, hi
-    fa, fb = f_lo, f_hi
-    for _ in range(30):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    x, fx = b, fb
-    xp, fxp = a, fa
-    for _ in range(3):
-        if fx == fxp:
-            break
-        xn = x - fx * (x - xp) / (fx - fxp)
-        if not (lo <= xn <= hi):
-            xn = 0.5 * (x + xp)
-        xp, fxp = x, fx
-        x, fx = xn, f(xn)
-    return x

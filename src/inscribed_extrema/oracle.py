@@ -18,11 +18,11 @@ import numpy as np
 
 from . import equalizer, functionals, geometry, linalg
 from .config import DEFAULT_TOLERANCES
-from .constructors import VertexConstraint, vertex_lambdas
+from .constructors import DEGENERATE_TOL, VertexConstraint, vertex_lambdas
 from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput, NotInscribed
 
 CHUNK = 1024
-DEGENERATE_TOL = 1e-12
+STATIONARITY_STEP = 1e-5  # central-difference step of stationarity_check
 
 
 @dataclass
@@ -248,7 +248,7 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
     )
 
 
-def stationarity_check(e, q, functional, h=1e-5):
+def stationarity_check(e, q, functional):
     """Max |directional central difference| along the constraint manifold.
 
     Directions: every coordinate-plane frame rotation (lambda fixed), and a
@@ -258,6 +258,7 @@ def stationarity_check(e, q, functional, h=1e-5):
     u0 = q.U
     lam0 = q.lam
     n = e.n
+    h = STATIONARITY_STEP
 
     def value(u, lam):
         return float(functionals.evaluate(e, u, lam, functional))
@@ -288,10 +289,10 @@ class TangentNormalsDump:
     gram: np.ndarray
 
 
-def tangent_normals_dump(e, p, tol=DEFAULT_TOLERANCES.inscribed_tol):
+def tangent_normals_dump(e, p):
     """Outward unit normals C x / ||C x|| at all 2^n vertices, plus their Gram
     matrix. Diagnostic only; nothing is asserted about the angles."""
-    rep = geometry.is_inscribed(e, p, tol)
+    rep = geometry.is_inscribed(e, p)
     if not rep.inscribed:
         raise NotInscribed(
             f"parallelepiped is not inscribed (max vertex residual {rep.max_residual:.3e})"

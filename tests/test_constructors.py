@@ -98,19 +98,36 @@ def test_construct_S_max_residuals_are_relative():
 # ---------------------------------------------------------------- 2D vertex
 
 
+def _planar_cases(rng):
+    """(A, y0) pairs: eigenvector points, (1, 1)/sqrt(2) and random points, in
+    axis-aligned frames up to cond 1e10 and rotated ones up to 1e4 (beyond
+    that, mapping x0 back to y0 alone loses more than 1e-13), and random
+    spectra."""
+    frames = [(np.eye(2), cond) for cond in (1.0, 1e3, 1e10)]
+    frames += [(random_orthogonal(2, rng), cond) for cond in (1e2, 1e4, 1e4)]
+    diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    for q, cond in frames:
+        ys = [q[:, 0], -q[:, 1], diag, -diag] + list(rng.normal(size=(4, 2)))
+        yield from (((q * [1.0, cond]) @ q.T, y / np.linalg.norm(y)) for y in ys)
+    for _ in range(20):
+        y = rng.normal(size=2)
+        yield random_spd(2, rng), y / np.linalg.norm(y)
+
+
 def test_vertex_2d_hits_vertex_and_bound():
     rng = np.random.default_rng(23)
-    for k in range(50):
-        e = Ellipsoid(random_spd(2, rng))
-        y = rng.normal(size=2)
-        y /= np.linalg.norm(y)
-        x0 = e.B @ y
-        functional = "edge_length" if k % 2 == 0 else "facet_area"
-        q, cert = construct_vertex_2d(e, x0, functional=functional)
-        p = orthotope_to_parallelepiped(e, q)
-        assert np.linalg.norm(all_plus_vertex(p) - x0) <= VERTEX_TOL * np.linalg.norm(x0)
-        # in the plane the vertex constraint costs nothing
-        assert abs(float(cert.achieved) - cert.bound) <= 1e-8 * cert.bound
+    cases = list(_planar_cases(rng))
+    for k in (-150, 0, 150):
+        for a, y in cases:
+            e = Ellipsoid(10.0**k * a)
+            x0 = e.B @ y
+            for functional in ("edge_length", "facet_area"):
+                q, cert = construct_through_vertex(e, x0, functional=functional)
+                p = orthotope_to_parallelepiped(e, q)
+                assert np.linalg.norm(all_plus_vertex(p) - x0) <= 1e-13 * np.linalg.norm(x0)
+                # in the plane the vertex constraint costs nothing
+                assert abs(cert.relative_gap) <= 1e-13
+                assert cert.equality_residuals["restricted_diagonal"] <= 1e-14
 
 
 def test_vertex_2d_rejects_other_dimensions():

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from inscribed_extrema import linalg
-from inscribed_extrema.errors import DimensionMismatch, NotPositiveDefinite
+from inscribed_extrema import Ellipsoid, linalg
+from inscribed_extrema.errors import DimensionMismatch, NotPositiveDefinite, OutOfRange
 
 TOL = 1e-12
 
@@ -39,6 +41,19 @@ def test_spd_matrix_rejects_indefinite():
 def test_spd_matrix_rejects_singular():
     with pytest.raises(NotPositiveDefinite):
         linalg.spd_matrix(np.diag([1.0, 0.0]))
+
+
+def test_spd_matrix_keeps_entries_near_the_float64_limit():
+    # A + A^T overflows here; A/2 + A^T/2 does not
+    d = np.diag([1e308, 1e308])
+    assert np.array_equal(linalg.spd_matrix(d), d)
+    assert Ellipsoid(d).log_det == pytest.approx(2.0 * math.log(1e308), rel=1e-15)
+
+
+def test_spd_matrix_refuses_eigenvalues_beyond_float64():
+    # rank 1 with eigenvalue 2e308: refused at the boundary, not carried on as NaN
+    with pytest.raises(OutOfRange, match="not finite in float64"):
+        linalg.spd_matrix(np.full((2, 2), 1e308))
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -97,8 +112,3 @@ def test_givens_rotates_the_coordinate_plane():
     assert_allclose(g @ np.eye(4)[1], [0.0, np.cos(0.3), 0.0, np.sin(0.3)], atol=TOL)
     assert_allclose(g[[0, 2]][:, [0, 2]], np.eye(2), atol=0.0)
 
-
-def test_bracketed_root_known_root():
-    root = linalg.bracketed_root(np.cos, 0.0, 3.0, 1.0, float(np.cos(3.0)))
-    assert abs(root - np.pi / 2.0) < 1e-14
-    assert linalg.bracketed_root(np.cos, 1.0, 2.0, 0.0, -1.0) == 1.0

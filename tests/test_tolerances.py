@@ -1,0 +1,83 @@
+"""Tolerances: a public function takes a tolerance keyword only where a CLI
+flag or a caller in the package sets it, and it defaults to the
+DEFAULT_TOLERANCES field of the same meaning. Fixed tolerances are module
+constants."""
+
+import ast
+from dataclasses import fields
+from pathlib import Path
+
+from inscribed_extrema import cli
+from inscribed_extrema.config import ToleranceConfig
+
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "inscribed_extrema"
+FIELDS = {f.name for f in fields(ToleranceConfig)}
+
+
+def _is_tolerance(name):
+    return name == "tol" or name.endswith("_tol") or name in FIELDS
+
+
+def _trees():
+    return [ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE_DIR.glob("*.py")]
+
+
+def _public_callables(body, cls=None):
+    """(name a caller uses, FunctionDef) for each public function and method
+    of a public class; a class's __init__ is called by the class name."""
+    for node in body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from _public_callables(node.body, node.name)
+        elif isinstance(node, ast.FunctionDef):
+            name = cls if node.name == "__init__" else node.name
+            if not name.startswith("_"):
+                yield name, node
+
+
+def _tolerance_parameters():
+    """(callable, keyword, default node or None) over the whole package."""
+    found = []
+    for tree in _trees():
+        for name, fn in _public_callables(tree.body):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaults = [None] * (len(positional) - len(args.defaults)) + list(args.defaults)
+            pairs = list(zip(positional, defaults)) + list(zip(args.kwonlyargs, args.kw_defaults))
+            found += [(name, a.arg, d) for a, d in pairs if _is_tolerance(a.arg)]
+    return found
+
+
+def _tolerance_keywords_set_by_callers():
+    found = set()
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                found |= {(name, kw.arg) for kw in node.keywords if _is_tolerance(kw.arg or "")}
+    return found
+
+
+def test_every_config_field_is_a_cli_flag():
+    assert set(cli.TOLERANCE_FLAGS.values()) == FIELDS
+
+
+def test_tolerance_keywords_are_the_ones_callers_set():
+    callables = {name for tree in _trees() for name, _ in _public_callables(tree.body)}
+    declared = {(name, arg) for name, arg, _ in _tolerance_parameters()}
+    set_by_callers = {hit for hit in _tolerance_keywords_set_by_callers() if hit[0] in callables}
+    assert declared == set_by_callers
+
+
+def test_tolerance_defaults_are_config_fields():
+    # None: the tolerance is derived from the input's scale (row_tol)
+    def from_config(d):
+        return (
+            isinstance(d, ast.Attribute)
+            and isinstance(d.value, ast.Name)
+            and d.value.id == "DEFAULT_TOLERANCES"
+            and d.attr in FIELDS
+        ) or (isinstance(d, ast.Constant) and d.value is None)
+
+    params = _tolerance_parameters()
+    assert [f"{name}({arg})" for name, arg, d in params if not from_config(d)] == []
