@@ -100,8 +100,8 @@ def test_construct_S_max_residuals_are_relative():
 
 def _planar_cases(rng):
     """(A, y0) pairs: eigenvector points, (1, 1)/sqrt(2) and random points, in
-    axis-aligned frames up to cond 1e10 and rotated ones up to 1e4 (beyond
-    that, mapping x0 back to y0 alone loses more than 1e-13), and random
+    axis-aligned frames up to cond 1e10 and rotated ones up to 1e4 (at 1e6,
+    mapping x0 back to y0 alone costs up to 9e-14 of the vertex), and random
     spectra."""
     frames = [(np.eye(2), cond) for cond in (1.0, 1e3, 1e10)]
     frames += [(random_orthogonal(2, rng), cond) for cond in (1e2, 1e4, 1e4)]
