@@ -51,8 +51,8 @@ class VertexConstraint:
         res = e.boundary_residual(x0)
         if res > BOUNDARY_TOL:
             raise NotOnBoundary(f"|x0^T C x0 - 1| = {res:.3e} > {BOUNDARY_TOL:.1e}")
-        y0 = e.Binv @ x0
-        y0 = y0 / np.linalg.norm(y0)
+        z = e.eigen_coordinates(x0)
+        y0 = e.eigenvectors @ (z / np.linalg.norm(z))
         return cls(x0=x0, y0=y0)
 
 

@@ -42,8 +42,8 @@ class FunctionalValue:
 
 
 def diag_quadratic(u, m):
-    """diag(U^T M U) without forming the full product; U may be a stack."""
-    return np.einsum("...ji,jk,...ki->...i", u, m, u)
+    """diag(U^T M U) as sum_j u_ji (M u_i)_j, for any square M; U may be a stack."""
+    return np.einsum("...ji,...ji->...i", m @ u, u)
 
 
 def evaluate(e, u, lam, functional):

@@ -41,10 +41,15 @@ class Ellipsoid:
         self.Binv = linalg.sym_matrix((q / np.sqrt(w)) @ q.T)
         self.C = linalg.sym_matrix((q / w) @ q.T)
 
+    def eigen_coordinates(self, x):
+        """z = Q^T x / sqrt(w), so x^T C x = z^T z and B^-1 x = Q z without the
+        eps * cond error that the entries of C and Binv carry."""
+        return self.eigenvectors.T @ np.asarray(x, dtype=float).ravel() / np.sqrt(self.eigenvalues)
+
     def boundary_residual(self, x):
-        """|x^T C x - 1| for a single point."""
-        x = np.asarray(x, dtype=float).ravel()
-        return float(abs(x @ self.C @ x - 1.0))
+        """|x^T C x - 1| for a single point, formed as |z^T z - 1|."""
+        z = self.eigen_coordinates(x)
+        return float(abs(z @ z - 1.0))
 
     @classmethod
     def ball(cls, n, radius=1.0):

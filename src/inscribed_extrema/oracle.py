@@ -147,7 +147,7 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
             best_value = float(vals[k])
             best_trial = t0 + k
         if keep_trace:
-            trace.extend(float(v) for v in vals)
+            trace.extend(vals.tolist())
     u, h = _haar_chunk(e.n, seed, best_trial, best_trial + 1, want_lambda)
     report = SearchReport(
         trials=trials,

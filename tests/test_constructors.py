@@ -142,6 +142,22 @@ def test_vertex_constraint_validates_boundary():
         VertexConstraint.from_point(e, np.array([5.0, 5.0]))
 
 
+def test_vertex_constraint_accepts_computed_points_on_ill_conditioned_ellipses():
+    # rotated, cond 1e10, at extreme scales: x0 = B y is on the boundary to
+    # round-off, and the eigenbasis maps it back to y without the eps * cond
+    # error of the entries of C and B^-1
+    for n in (2, 3, 5):
+        for scale in (1e-150, 1.0, 1e150):
+            rng = np.random.default_rng((n, 7))
+            q = random_orthogonal(n, rng)
+            e = Ellipsoid(scale * (q * np.geomspace(1.0, 1e10, n)) @ q.T)
+            for _ in range(8):
+                y = rng.standard_normal(n)
+                y /= np.linalg.norm(y)
+                vc = VertexConstraint.from_point(e, e.B @ y)
+                assert np.max(np.abs(vc.y0 - y)) <= 1e-10, (n, scale)
+
+
 # ------------------------------------------------------------- eigen vertex
 
 

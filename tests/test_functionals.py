@@ -10,6 +10,7 @@ from inscribed_extrema import (
     SphereOrthotope,
     WrongDimension,
     beta_product_sum,
+    diag_quadratic,
     bound_L_max,
     bound_S_max,
     edge_length_total,
@@ -91,6 +92,16 @@ def test_bounds_dominate_random_samples(n):
         p = orthotope_to_parallelepiped(e, q)
         assert float(edge_length_total(e, q)) <= l_bound * (1.0 + 1e-12)
         assert float(facet_area_total_gram(p)) <= s_bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_diag_quadratic_matches_the_full_product(n):
+    rng = np.random.default_rng(40 + n)
+    u = np.stack([random_orthogonal(n, rng) for _ in range(64)])
+    m = rng.standard_normal((n, n))  # not symmetric: the identity holds for any square M
+    full = np.diagonal(np.swapaxes(u, -1, -2) @ m @ u, axis1=-2, axis2=-1)
+    assert np.max(np.abs(diag_quadratic(u, m) - full)) <= 1e-14 * np.linalg.norm(m, 2)
+    assert_allclose(diag_quadratic(u[5], m), full[5], rtol=0.0, atol=1e-14 * np.linalg.norm(m, 2))
 
 
 def test_phi_max_values():

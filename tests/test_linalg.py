@@ -10,7 +10,7 @@ from inscribed_extrema.errors import DimensionMismatch, NotPositiveDefinite, Out
 TOL = 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32, 64])
 def test_random_orthogonal_is_orthogonal(n):
     for seed in range(20):
         q = linalg.random_orthogonal(n, seed)
@@ -99,11 +99,29 @@ def test_sym_matrix_symmetrizes():
 
 
 def test_haar_stack_matches_single_draws():
-    g = np.random.default_rng(9).standard_normal((4, 5, 5))
-    stacked = linalg.haar_from_gaussian(g)
-    for k in range(4):
-        assert np.array_equal(stacked[k], linalg.haar_from_gaussian(g[k]))
-        assert np.array_equal(stacked[k], linalg.haar_from_gaussian(g[k : k + 1])[0])
+    # search determinism across CHUNK rests on this: a frame is bit-identical
+    # whatever stack it is computed in
+    for n in range(2, 17):
+        g = np.random.default_rng(n).standard_normal((1024, n, n))
+        stacked = linalg.haar_from_gaussian(g)
+        for width in (1, 7, 100):
+            for t0 in (0, 333, 1024 - width):
+                part = linalg.haar_from_gaussian(g[t0 : t0 + width])
+                assert np.array_equal(stacked[t0 : t0 + width], part), (n, width, t0)
+        for k in (0, 511, 1023):
+            assert np.array_equal(stacked[k], linalg.haar_from_gaussian(g[k])), (n, k)
+
+
+def test_haar_from_gaussian_is_the_sign_fixed_qr_factor():
+    # numpy's QR is the reference only: Q with R = Q^T G upper triangular, diag > 0
+    for n in range(2, 9):
+        g = np.random.default_rng(100 + n).standard_normal((256, n, n))
+        q = linalg.haar_from_gaussian(g)
+        r_diag = np.diagonal(np.swapaxes(q, -1, -2) @ g, axis1=-2, axis2=-1)
+        assert np.all(r_diag > 0.0)
+        q_ref, r_ref = np.linalg.qr(g)
+        q_ref = q_ref * np.sign(np.diagonal(r_ref, axis1=-2, axis2=-1))[..., None, :]
+        assert np.max(np.abs(q - q_ref)) <= 1e-12, n
 
 
 def test_givens_rotates_the_coordinate_plane():

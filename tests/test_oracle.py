@@ -98,8 +98,7 @@ def test_search_normals_are_standard_gaussian():
     assert ks < 1.95 / math.sqrt(size)
 
 
-def test_search_frames_are_haar():
-    n = 3
+def _assert_haar_moments(n):
     u, _ = oracle._haar_chunk(n, 2026, 0, 20000, False)
     assert_allclose(np.einsum("tij,tik->tjk", u, u), np.broadcast_to(np.eye(n), u.shape),
                     atol=1e-12)
@@ -107,6 +106,14 @@ def test_search_frames_are_haar():
     assert np.max(np.abs(u.mean(axis=0))) < 0.02
     assert_allclose(np.mean(u**2, axis=0), np.full((n, n), 1.0 / n), atol=0.01)
     assert_allclose(np.mean(u**4, axis=0), np.full((n, n), 3.0 / (n * (n + 2))), atol=0.01)
+
+
+def test_search_frames_are_haar():
+    _assert_haar_moments(3)
+
+
+def test_search_frames_are_haar_at_n8():
+    _assert_haar_moments(8)
 
 
 def test_search_is_deterministic_and_reconstructs_best():
