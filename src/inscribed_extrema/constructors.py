@@ -147,10 +147,10 @@ def vertex_lambdas(u, y0):
 
 
 def _restricted_diagonal(e, u, y0):
-    """||diag(U^T A U) - tr(A) z*z|| / tr A, z = U^T y0: the edge-length equality residual."""
-    tr_a = float(np.trace(e.A))
+    """||diag(U^T A U) - tr(A) z*z|| / tr A, z = U^T y0: the edge-length equality
+    residual, formed on A / tr A so that no scale of A overflows or underflows it."""
     z = u.T @ y0
-    return float(np.linalg.norm(functionals.diag_quadratic(u, e.A) - tr_a * z * z) / tr_a)
+    return float(np.linalg.norm(functionals.diag_quadratic(u, e.A / np.trace(e.A)) - z * z))
 
 
 def construct_vertex_2d(e, x0, functional="edge_length"):
@@ -225,9 +225,10 @@ def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
 
     2^n sqrt(tr A) is attained through x0 exactly when the Cauchy-Schwarz
     equality condition diag(U^T A U) = tr(A) z*z holds, z = U^T y0 free.
-    equalizer.multistart solves it from the barycentric basis of y0, then
-    from seeded Haar frames, and accepts ||r|| <= tol tr(A) with every
-    |z_i| >= 1e-6; otherwise NotConverged carries the best report. Every
+    equalizer.multistart solves it on A / tr A (scale-free) from the
+    barycentric basis of y0, then from seeded Haar frames, and accepts
+    ||r|| <= tol tr(A) with every |z_i| >= 1e-6; otherwise NotConverged
+    carries the best report. Every
     point tried so far was solved from the first start: numerical evidence,
     not a theorem.
     """
@@ -235,14 +236,13 @@ def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
         return construct_vertex_2d(e, x0, functional="edge_length")
     n = e.n
     vc = VertexConstraint.from_point(e, x0)
-    tr_a = float(np.trace(e.A))
     starts = itertools.chain(
         [equalizer.barycentric_basis(vc.y0)],
         (linalg.random_orthogonal(n, np.random.default_rng((seed, s)))
          for s in range(EDGE_STARTS - 1)),
     )
     rep = equalizer.multistart(
-        starts, np.eye(n), equalizer.restricted_l_residual(e.A, vc.y0), (tol * tr_a) ** 2,
+        starts, np.eye(n), equalizer.restricted_l_residual(e.A / np.trace(e.A), vc.y0), tol**2,
         EDGE_STARTS * equalizer.STEPS_PER_START,
         accept=lambda u: float(np.min(np.abs(u.T @ vc.y0))) >= 1e-6,
     )
@@ -250,7 +250,7 @@ def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
         raise NotConverged(
             "restricted diagonal condition not solved after "
             f"{rep.restarts + 1} starts (best residual "
-            f"{math.sqrt(rep.final_variance) / tr_a:.3e} tr A)",
+            f"{math.sqrt(rep.final_variance):.3e} tr A)",
             report=rep,
         )
     q = geometry.SphereOrthotope(*vertex_lambdas(rep.V, vc.y0))

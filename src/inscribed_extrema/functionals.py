@@ -9,9 +9,10 @@ For an orthotope (U, lambda) on the unit sphere mapped into E by B:
 The middle form is the adjugate identity det G_{-i,-i} = det G (G^-1)_ii.
 S and its bound are formed in logs: exact wherever float64 holds S, else OutOfRange.
 
-``evaluate`` is the one implementation of L and the factored S; it and the
-sampling helpers (phi, beta_product_sum, maclaurin_gap) accept either a
-single orthotope or vector, or a batch along the leading axes.
+``evaluate`` is the one implementation of L and the factored S, for one
+orthotope or a stack on trailing axes (U (n, n, ...), lambda (n, ...)).
+The sampling helpers (phi, beta_product_sum, maclaurin_gap) accept a
+vector or a batch along the leading axes.
 """
 
 import math
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     ConstraintViolated,
     DimensionMismatch,
@@ -42,21 +44,22 @@ class FunctionalValue:
 
 
 def diag_quadratic(u, m):
-    """diag(U^T M U) as sum_j u_ji (M u_i)_j, for any square M; U may be a stack."""
-    return np.einsum("...ji,...ji->...i", m @ u, u)
+    """diag(U^T M U) as sum_j u_ji (M u_i)_j, for any square M; U is (n, n)
+    or an (n, n, ...) stack, and the result (n, ...)."""
+    return ((m @ u.reshape(len(m), -1)).reshape(u.shape) * u).sum(axis=0)
 
 
 def evaluate(e, u, lam, functional):
     """L or the factored S of orthotopes (U, lambda) in E.
 
-    U has shape (..., n, n) and lambda (..., n); returns one value per
-    leading index (a 0-d array for a single orthotope).
+    U has shape (n, n, ...) and lambda (n, ...); returns one value per
+    trailing index (a 0-d array for a single orthotope).
     """
     if functional == "edge_length":
         g = diag_quadratic(u, e.A)
-        return 2.0 ** (e.n - 1) * np.sum(lam * np.sqrt(g), axis=-1)
+        return 2.0 ** (e.n - 1) * linalg.lane_sum(lam * np.sqrt(g))
     gc = diag_quadratic(u, e.C)
-    log_rest = np.sum(np.log(lam), axis=-1) + np.log(np.sum(np.sqrt(gc) / lam, axis=-1))
+    log_rest = linalg.lane_sum(np.log(lam)) + np.log(linalg.lane_sum(np.sqrt(gc) / lam))
     return 2.0 * np.exp(0.5 * e.log_det + log_rest)
 
 

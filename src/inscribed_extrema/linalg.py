@@ -3,6 +3,11 @@
 Symmetric/orthogonal validation, Haar sampling and Givens rotations.
 Everything operates on plain float64 ndarrays. Validation helpers return
 the cleaned-up array so callers can chain them.
+
+A stack of frames is (n, n, ...): the trailing axes are lanes, and batched
+kernels run elementwise over them. The Haar kernel pads the lanes to a
+multiple of LANES, since einsum's SIMD body and scalar tail round
+differently: so a frame's bits do not depend on its stack or chunk.
 """
 
 import math
@@ -14,6 +19,7 @@ from .errors import DimensionMismatch, NotPositiveDefinite, OutOfRange
 # max |U^T U - I| entry for a frame to count as orthonormal; also |norm(y) - 1| for a unit vector
 ORTHO_TOL = 1e-10
 SPD_REL_TOL = 1e-12
+LANES = 16  # haar_from_gaussian pads its trailing lanes to a multiple of this
 
 
 def as_square(a):
@@ -104,17 +110,27 @@ def random_orthogonal(n, seed):
 
 
 def haar_from_gaussian(g):
-    """Q factors, R diagonal positive, of a (..., n, n) stack of Gaussian matrices:
-    that Q is Haar (Mezzadri, Notices AMS 54, 2007). Classical Gram-Schmidt with one
-    reorthogonalization keeps it orthogonal to working precision (Giraud, Langou,
-    Rozloznik & van den Eshof, Numer. Math. 101, 2005); vectorized over leading axes."""
-    q = np.array(g, dtype=float)
-    for j in range(q.shape[-1]):
-        v, p = q[..., :, j], q[..., :, :j]
+    """Q factors, R diagonal positive, of an (n, n) or (n, n, ...) stack of Gaussian
+    matrices: that Q is Haar (Mezzadri, Notices AMS 54, 2007). Classical Gram-Schmidt
+    with one reorthogonalization keeps it orthogonal to working precision (Giraud,
+    Langou, Rozloznik & van den Eshof, Numer. Math. 101, 2005). Pad lanes copy frame 0."""
+    g = np.asarray(g, dtype=float)
+    n, t = g.shape[0], math.prod(g.shape[2:])
+    q = np.empty((n, n, -(-t // LANES) * LANES))
+    q[..., :t] = g.reshape(n, n, t)
+    q[..., t:] = q[..., :1]
+    for j in range(n):
+        v, p = q[:, j], q[:, :j]
         for _ in range(2 if j else 0):
-            v -= np.einsum("...ij,...j->...i", p, np.einsum("...ij,...i->...j", p, v))
-        v /= np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
-    return q
+            v -= np.einsum("rjt,jt->rt", p, np.einsum("rjt,rt->jt", p, v))
+        v /= np.sqrt(np.einsum("rt,rt->t", v, v))
+    return np.ascontiguousarray(q[..., :t]).reshape(g.shape)
+
+
+def lane_sum(x):
+    """Sum over axis 0 in row order. np.sum pairs a lone lane's terms (from 8 rows
+    on) but adds row by row across lanes, so a frame's bits would follow its stack."""
+    return np.add.accumulate(x, axis=0)[-1]
 
 
 def givens(n, i, j, theta):

@@ -6,7 +6,10 @@ tangent-normal dump).
 Each search trial owns a fixed block of a counter-based Philox stream keyed
 by the seed (Salmon, Moraes, Dror & Shaw, SC'11), turned into normals by
 Box-Muller, so results are independent of chunking and execution order.
-Trials are evaluated in fixed-size chunks purely for numpy throughput. The
+One generator serves a whole search, its chunks being successive counter
+ranges. Trials are evaluated in fixed-size chunks purely for numpy
+throughput, with the trial axis last and contiguous from the Box-Muller
+rows to the values, so every pass is elementwise over trials. The
 explorer's starts come from default_rng((seed, start)).
 """
 
@@ -66,27 +69,27 @@ class RshReport:
         }
 
 
-def _normals(seed, t0, t1, k):
-    """k standard normals (k even) for each of the trials t0..t1-1.
+def _stream(seed, t0, k):
+    """A search's Philox generator at trial t0, k normals per trial: trial t owns
+    the counters t*block+1 .. (t+1)*block, block = ceil(k/4), keyed by the seed."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return np.random.Philox(key=key, counter=[t0 * -(-k // 4), 0, 0, 0])
 
-    Trial t owns the Philox counters t*block+1 .. (t+1)*block under a key
-    derived from the seed, so its draws depend neither on the chunk nor on
-    the order of chunks. Its first k raw words w become the uniforms
-    ((w >> 12) + 1/2) 2^-52, exact and strictly inside (0, 1). Box-Muller
-    pairs word i (radius) with word i + k/2 (angle), so every trial costs
-    the same fixed number of words.
+
+def _normals(bitgen, trials, k):
+    """k standard normals (k even) for each of bitgen's next trials, (k, trials).
+
+    A trial's first k raw words w become the uniforms ((w >> 12) + 1/2)
+    2^-52, exact and strictly inside (0, 1). Box-Muller pairs word i
+    (radius) with word i + k/2 (angle), so every trial costs the same fixed
+    number of words.
     """
     block = -(-k // 4)
-    bitgen = np.random.Philox(
-        key=np.random.SeedSequence(seed).generate_state(2, np.uint64),
-        counter=[t0 * block, 0, 0, 0],
-    )
-    w = bitgen.random_raw((t1 - t0) * block * 4).reshape(t1 - t0, block * 4)[:, :k]
-    w >>= 12
-    g = w.astype(np.float64)
-    g += 0.5
+    raw = bitgen.random_raw(trials * block * 4).reshape(trials, block * 4)
+    w = np.right_shift(raw[:, :k].T, 12, out=np.empty((k, trials), np.uint64))
+    g = np.add(w, 0.5)
     g *= 2.0**-52
-    r, theta = g[:, : k // 2], g[:, k // 2 :]
+    r, theta = g[: k // 2], g[k // 2 :]
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
@@ -98,12 +101,18 @@ def _normals(seed, t0, t1, k):
     return g
 
 
-def _haar_chunk(n, seed, t0, t1, want_lambda):
-    """Per-trial Haar frames (and lambda Gaussians) for trials t0..t1-1."""
-    k = n * n + (n if want_lambda else 0)
-    g = _normals(seed, t0, t1, k + k % 2)
-    extra = g[:, n * n : n * n + n] if want_lambda else None
-    return linalg.haar_from_gaussian(g[:, : n * n].reshape(-1, n, n)), extra
+def _frames(n, seed, t0, want_lambda):
+    """draw(trials) returns the next Haar frames (n, n, trials), from trial t0 on,
+    and their lambda Gaussians (n, trials), None unless want_lambda."""
+    k = n * (n + 1) if want_lambda else n * n + n % 2
+    bitgen = _stream(seed, t0, k)
+
+    def draw(trials):
+        g = _normals(bitgen, trials, k)
+        extra = g[n * n : n * n + n] if want_lambda else None
+        return linalg.haar_from_gaussian(g[: n * n].reshape(n, n, trials)), extra
+
+    return draw
 
 
 def _bound_for(e, functional):
@@ -134,9 +143,9 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
     violations = 0
     skips = 0
     trace = [] if keep_trace else None
+    draw = _frames(e.n, seed, 0, want_lambda)
     for t0 in range(0, trials, CHUNK):
-        t1 = min(trials, t0 + CHUNK)
-        u, h = _haar_chunk(e.n, seed, t0, t1, want_lambda)
+        u, h = draw(min(trials, t0 + CHUNK) - t0)
         lam, ok = rule(u, h)
         vals = functionals.evaluate(e, u, lam, functional)
         vals[~ok] = -np.inf
@@ -148,7 +157,7 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
             best_trial = t0 + k
         if keep_trace:
             trace.extend(vals.tolist())
-    u, h = _haar_chunk(e.n, seed, best_trial, best_trial + 1, want_lambda)
+    u, h = _frames(e.n, seed, best_trial, want_lambda)(1)
     report = SearchReport(
         trials=trials,
         best_value=best_value,
@@ -160,7 +169,7 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
         best_trial=best_trial,
         trace=trace,
     )
-    return report, u[0], None if h is None else h[0]
+    return report, u[..., 0], None if h is None else h[:, 0]
 
 
 def random_search_global(
@@ -170,12 +179,11 @@ def random_search_global(
 
     def rule(u, h):
         habs = np.abs(h)
-        lam = 2.0 * habs / np.linalg.norm(habs, axis=1, keepdims=True)
-        return lam, np.ones(len(u), dtype=bool)
+        return 2.0 * habs / np.sqrt(linalg.lane_sum(habs * habs)), np.ones(h.shape[1], dtype=bool)
 
     report, u, h = _search(e, functional, trials, seed, bound_slack, keep_trace, True, rule)
-    # the 1-D norm, not the chunk's row norm: the two can differ in the last
-    # bit, and the reported configuration has always used this one
+    # the 1-D norm, not the chunk's per-trial norm: the two can differ in the
+    # last bit, and the reported configuration has always used this one
     habs = np.abs(h)
     report.best_config = geometry.SphereOrthotope(u, 2.0 * habs / np.linalg.norm(habs))
     return report
@@ -194,10 +202,10 @@ def random_search_vertex(
     vc = VertexConstraint.from_point(e, x0)
 
     def rule(u, h):
-        z = np.einsum("tij,i->tj", u, vc.y0)
-        ok = np.min(np.abs(z), axis=1) >= DEGENERATE_TOL
+        z = np.sum(vc.y0[:, None, None] * u, axis=0)
+        ok = np.min(np.abs(z), axis=0) >= DEGENERATE_TOL
         lam = 2.0 * np.abs(z)
-        lam[~ok] = 1.0  # placeholder, masked out by the loop
+        lam[:, ~ok] = 1.0  # placeholder, masked out by the loop
         return lam, ok
 
     report, u, _ = _search(e, functional, trials, seed, bound_slack, keep_trace, False, rule)

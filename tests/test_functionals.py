@@ -97,12 +97,13 @@ def test_bounds_dominate_random_samples(n):
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_diag_quadratic_matches_the_full_product(n):
     rng = np.random.default_rng(40 + n)
-    u = np.stack([random_orthogonal(n, rng) for _ in range(64)])
+    frames = np.stack([random_orthogonal(n, rng) for _ in range(64)])
+    u = np.moveaxis(frames, 0, -1)
     m = rng.standard_normal((n, n))  # not symmetric: the identity holds for any square M
-    full = np.diagonal(np.swapaxes(u, -1, -2) @ m @ u, axis1=-2, axis2=-1)
+    full = np.diagonal(np.swapaxes(frames, -1, -2) @ m @ frames, axis1=-2, axis2=-1).T
     tol = 1e-14 * np.linalg.norm(m, 2)  # relative to max |(U^T M U)_ii|
     assert np.max(np.abs(diag_quadratic(u, m) - full)) <= tol
-    assert np.max(np.abs(diag_quadratic(u[5], m) - full[5])) <= tol
+    assert np.max(np.abs(diag_quadratic(u[..., 5], m) - full[:, 5])) <= tol
 
 
 def test_phi_max_values():

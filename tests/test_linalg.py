@@ -102,21 +102,22 @@ def test_haar_stack_matches_single_draws():
     # search determinism across CHUNK rests on this: a frame is bit-identical
     # whatever stack it is computed in
     for n in range(2, 17):
-        g = np.random.default_rng(n).standard_normal((1024, n, n))
+        g = np.random.default_rng(n).standard_normal((n, n, 1024))
         stacked = linalg.haar_from_gaussian(g)
-        for width in (1, 7, 100):
-            for t0 in (0, 333, 1024 - width):
-                part = linalg.haar_from_gaussian(g[t0 : t0 + width])
-                assert np.array_equal(stacked[t0 : t0 + width], part), (n, width, t0)
+        for width in (*range(1, 34), 100, 904):
+            for t0 in {0, 5, min(333, 1024 - width), 1024 - width}:
+                part = linalg.haar_from_gaussian(g[..., t0 : t0 + width])
+                assert np.array_equal(stacked[..., t0 : t0 + width], part), (n, width, t0)
         for k in (0, 511, 1023):
-            assert np.array_equal(stacked[k], linalg.haar_from_gaussian(g[k])), (n, k)
+            assert np.array_equal(stacked[..., k], linalg.haar_from_gaussian(g[..., k])), (n, k)
 
 
 def test_haar_from_gaussian_is_the_sign_fixed_qr_factor():
     # numpy's QR is the reference only: Q with R = Q^T G upper triangular, diag > 0
     for n in range(2, 9):
-        g = np.random.default_rng(100 + n).standard_normal((256, n, n))
-        q = linalg.haar_from_gaussian(g)
+        g = np.random.default_rng(100 + n).standard_normal((n, n, 256))
+        q = np.moveaxis(linalg.haar_from_gaussian(g), -1, 0)
+        g = np.moveaxis(g, -1, 0)
         r_diag = np.diagonal(np.swapaxes(q, -1, -2) @ g, axis1=-2, axis2=-1)
         assert np.all(r_diag > 0.0)
         q_ref, r_ref = np.linalg.qr(g)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -81,8 +83,57 @@ def test_search_does_not_depend_on_chunking(monkeypatch, search, functional):
     assert narrow.best_trial >= oracle.CHUNK
 
 
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_search_is_bit_identical_at_every_chunk_size(monkeypatch, n):
+    # from n = 8 on a lone lane would sum its terms pairwise; a chunk of one
+    # trial must still give the bits of a chunk of many
+    rng = np.random.default_rng(30 + n)
+    e = Ellipsoid(random_spd(n, rng))
+    y = rng.normal(size=n)
+    x0 = e.B @ (y / np.linalg.norm(y))
+    for search, functional in itertools.product(("global", "vertex"), VALUE_OF):
+        seen = []
+        for chunk in (1, 7, 333, 1024):
+            monkeypatch.setattr(oracle, "CHUNK", chunk)
+            if search == "global":
+                rep = random_search_global(e, functional, 2500, seed=5, keep_trace=True)
+            else:
+                rep = random_search_vertex(e, x0, functional, 2500, seed=5, keep_trace=True)
+            seen.append((rep.trace, rep.best_trial, rep.best_config.U.tobytes(),
+                         rep.best_config.lam.tobytes()))
+        assert all(s == seen[0] for s in seen[1:]), (search, functional)
+
+
+# SHA-256 of the float64 bytes of _normals(seed, t0, t1, k), trial-major:
+# a change to the sampler's layout or speed must keep every normal bit for bit
+NORMALS_SHA256 = {
+    (1, 0, 1024, 6): "1c62ea71d5d3cab3b0f1bc52582b9eddbbe5d1bd4514a278628ab0e12b6c41ba",
+    (7, 1000, 2100, 30): "8d30dbcabcc16d890cf6dba23fbb5090761dcd24eb7bf24c988cc54c24e57a10",
+    (13, 5, 300, 72): "44fe86585e86c90fe5badc3f67e118f2f7e2bc9de0b7a29ff76d55fab4e861fd",
+    (2026, 3, 4, 20): "fa5bc828befcab1c0cebcb857240e2957a69f234b634e7c066ac55f8383856b9",
+}
+
+
+def _digest(g):
+    return hashlib.sha256(np.ascontiguousarray(g.T).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(NORMALS_SHA256))
+def test_search_normals_are_pinned(case):
+    seed, t0, t1, k = case
+    assert _digest(oracle._normals(oracle._stream(seed, t0, k), t1 - t0, k)) == NORMALS_SHA256[case]
+
+
+def test_search_stream_chunks_are_successive_counter_ranges():
+    # one generator per search: successive draws continue where the last stopped
+    seed, t0, t1, k = case = (7, 1000, 2100, 30)
+    bitgen = oracle._stream(seed, t0, k)
+    parts = [oracle._normals(bitgen, width, k) for width in (24, 1, t1 - t0 - 25)]
+    assert _digest(np.concatenate(parts, axis=1)) == NORMALS_SHA256[case]
+
+
 def test_search_normals_are_standard_gaussian():
-    g = oracle._normals(2026, 0, 20000, 10)
+    g = oracle._normals(oracle._stream(2026, 0, 10), 20000, 10).T
     x = g.ravel()
     size = x.size
     # 200,000 draws: the bounds below are 5-6 standard errors wide
@@ -99,7 +150,8 @@ def test_search_normals_are_standard_gaussian():
 
 
 def _assert_haar_moments(n):
-    u, _ = oracle._haar_chunk(n, 2026, 0, 20000, False)
+    u, _ = oracle._frames(n, 2026, 0, False)(20000)
+    u = np.moveaxis(u, -1, 0)
     assert_allclose(np.einsum("tij,tik->tjk", u, u), np.broadcast_to(np.eye(n), u.shape),
                     atol=1e-12)
     # Haar entries: E[U_ij] = 0, E[U_ij^2] = 1/n, E[U_ij^4] = 3/(n(n+2))

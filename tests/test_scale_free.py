@@ -3,11 +3,13 @@ code be: A -> sA scales L by sqrt(s) and S by s^((n-1)/2), A -> R A R^T
 changes neither bound nor certificate, and neither needs a small n.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from inscribed_extrema import cli
 from inscribed_extrema import (
     Ellipsoid,
     OutOfRange,
@@ -101,3 +103,31 @@ def test_global_constructions_certified_at_large_n(n):
         for q, cert in (construct_L_max(e, seed=i), construct_S_max(e)):
             assert abs(cert.relative_gap) <= REL
             assert is_inscribed(e, orthotope_to_parallelepiped(e, q)).inscribed
+
+
+def _rotated_spd(n, rng, cond):
+    q = random_orthogonal(n, rng)
+    return (q * np.logspace(0.0, math.log10(cond), n)) @ q.T
+
+
+@pytest.mark.parametrize("k", [-200, -100, 0, 100, 200])
+def test_edge_vertex_construction_is_scale_free(tmp_path, capsys, k):
+    # the free-z solver works on A / tr A: at 1e200 its threshold and residual
+    # would otherwise overflow, and at 1e-200 the certificate's residual
+    # underflow; --tol-equalizer bounds the restricted diagonal residual
+    for cond in (10.0, 1e6, 1e10):
+        rng = np.random.default_rng((4, int(math.log10(cond))))
+        e = Ellipsoid(10.0**k * _rotated_spd(4, rng, cond))
+        y = rng.normal(size=4)
+        x0 = e.B @ (y / np.linalg.norm(y))
+        m = tmp_path / "a.json"
+        m.write_text(json.dumps({"n": 4, "data": e.A.tolist()}))
+        v = tmp_path / "x0.json"
+        v.write_text(json.dumps({"n": 4, "data": x0.tolist()}))
+        code = cli.main(["construct", "--matrix", str(m), "--functional", "edge",
+                         "--vertex", str(v), "--seed", "0", "--tol-equalizer", "1e-12"])
+        out, err = capsys.readouterr()
+        assert code == 0, (cond, err)
+        cert = json.loads(out)["result"]["certificate"]
+        assert abs(cert["relative_gap"]) <= REL, cond
+        assert cert["equality_residuals"]["restricted_diagonal"] <= REL, cond
