@@ -6,8 +6,8 @@ the cleaned-up array so callers can chain them.
 
 A stack of frames is (n, n, ...): the trailing axes are lanes, and batched
 kernels run elementwise over them. The Haar kernel pads the lanes to a
-multiple of LANES, since einsum's SIMD body and scalar tail round
-differently: so a frame's bits do not depend on its stack or chunk.
+multiple of LANES because einsum's SIMD body and scalar tail round
+differently; the padding keeps a frame's bits independent of its stack.
 """
 
 import math
