@@ -66,19 +66,15 @@ from .geometry import (
     is_inscribed,
     orthotope_to_parallelepiped,
     parallelepiped_to_orthotope,
-    sign_vectors,
-    vertices,
 )
 from .linalg import householder_to, random_orthogonal
 from .oracle import (
     RshReport,
     SearchReport,
-    TangentNormalsDump,
     explore_restricted_schur_horn,
     random_search_global,
     random_search_vertex,
     stationarity_check,
-    tangent_normals_dump,
 )
 
 __version__ = "0.1.0"

@@ -74,15 +74,35 @@ class ExtremalCertificate:
         }
 
 
-def _make_certificate(e, q, kind, bound, residuals, x0):
-    """Certificate of q against bound; x0 is the prescribed all-plus vertex or
-    None. Equality residuals are relative to their scale (here ||x0||)."""
+def _make_certificate(e, q, functional, x0=None):
+    """Certificate of q against the functional's sharp bound; x0 is the
+    prescribed all-plus vertex or None.
+
+    The equality residuals are the functional's equality conditions, read
+    off the orthotope (U, lambda) and each relative to its scale. L attains
+    2^n sqrt(tr A) in the Cauchy-Schwarz case diag(U^T A U) / tr A =
+    lambda^2 / 4 (cauchy_schwarz, a 2-norm), and so does S at n = 2, where
+    S = L. For n >= 3, S attains S_max when lambda is uniform
+    (uniform_lambda, max |lambda sqrt(n) / 2 - 1|) and diag(U^T C U) is
+    constant (diagonal_equalization, max |d - t| / t with t = tr(C) / n).
+    vertex (over ||x0||), inscribed and, for S, factored_vs_gram go with them.
+    """
     p = geometry.orthotope_to_parallelepiped(e, q)
+    residuals = {}
     if x0 is not None:
         vertex = np.linalg.norm(geometry.all_plus_vertex(p) - x0) / np.linalg.norm(x0)
-        residuals = {"vertex": float(vertex), **residuals}
-    residuals = {**residuals, "inscribed": geometry.is_inscribed(e, p).max_residual}
-    if kind == "edge_length":
+        residuals["vertex"] = float(vertex)
+    if functional == "edge_length" or e.n == 2:
+        g = functionals.diag_quadratic(q.U, e.A / np.trace(e.A))
+        residuals["cauchy_schwarz"] = float(np.linalg.norm(g - q.lam * q.lam / 4.0))
+    else:
+        t = float(np.trace(e.C)) / e.n
+        d = functionals.diag_quadratic(q.U, e.C)
+        residuals["uniform_lambda"] = float(np.max(np.abs(q.lam * math.sqrt(e.n) / 2.0 - 1.0)))
+        residuals["diagonal_equalization"] = float(np.max(np.abs(d - t)) / t)
+    residuals["inscribed"] = geometry.is_inscribed(e, p).max_residual
+    bound = functionals.bound(e, functional)
+    if functional == "edge_length":
         achieved = functionals.edge_length_total(e, q)
     else:
         achieved = functionals.facet_area_total_gram(p)
@@ -107,10 +127,7 @@ def construct_L_max(e, u=None, seed=0):
     root_tr = math.sqrt(float(g.sum()))
     lam = 2.0 * np.sqrt(g) / root_tr
     q = geometry.SphereOrthotope(u, lam)
-    prop = float(np.max(np.abs(lam * root_tr - 2.0 * np.sqrt(g))))
-    return q, _make_certificate(
-        e, q, "edge_length", functionals.bound_L_max(e), {"lambda_proportionality": prop}, None
-    )
+    return q, _make_certificate(e, q, "edge_length")
 
 
 def construct_S_max(e):
@@ -125,11 +142,7 @@ def construct_S_max(e):
     u = qc @ rep.V
     lam = np.full(n, 2.0 / math.sqrt(n))
     q = geometry.SphereOrthotope(u, lam)
-    t = np.sum(w) / n
-    dev = float(np.max(np.abs(functionals.diag_quadratic(u, e.C) - t)) / t)
-    return q, _make_certificate(
-        e, q, "facet_area", functionals.bound_S_max(e), {"diagonal_equalization": dev}, None
-    )
+    return q, _make_certificate(e, q, "facet_area")
 
 
 def vertex_lambdas(u, y0):
@@ -144,13 +157,6 @@ def vertex_lambdas(u, y0):
         )
     u_fixed = u * np.where(z < 0.0, -1.0, 1.0)
     return u_fixed, 2.0 * np.abs(z)
-
-
-def _restricted_diagonal(e, u, y0):
-    """||diag(U^T A U) - tr(A) z*z|| / tr A, z = U^T y0: the edge-length equality
-    residual, formed on A / tr A so that no scale of A overflows or underflows it."""
-    z = u.T @ y0
-    return float(np.linalg.norm(functionals.diag_quadratic(u, e.A / np.trace(e.A)) - z * z))
 
 
 def construct_vertex_2d(e, x0, functional="edge_length"):
@@ -172,10 +178,7 @@ def construct_vertex_2d(e, x0, functional="edge_length"):
     base = math.atan2(y2, y1) + 0.25 * math.pi
     theta = base + (0.5 * math.atan2(beta, alpha) + 0.25 * math.pi - base) % (0.5 * math.pi)
     q = geometry.SphereOrthotope(*vertex_lambdas(linalg.givens(2, 0, 1, theta), vc.y0))
-    return q, _make_certificate(
-        e, q, functional, functionals.bound_L_max(e),
-        {"restricted_diagonal": _restricted_diagonal(e, q.U, vc.y0)}, vc.x0,
-    )
+    return q, _make_certificate(e, q, functional, vc.x0)
 
 
 def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
@@ -210,13 +213,7 @@ def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     )
     rep = equalizer.equalize_diagonal_barycentric(m, tol=tol, seed=seed, row_tol=row_tol)
     q = geometry.SphereOrthotope(u0 @ rep.V, np.full(n, 2.0 / math.sqrt(n)))
-    t = np.trace(e.C) / n
-    dev = float(np.max(np.abs(functionals.diag_quadratic(q.U, e.C) - t)) / t)
-    bary = float(np.max(np.abs(q.U.T @ y0 - 1.0 / math.sqrt(n))))
-    return q, _make_certificate(
-        e, q, "facet_area", functionals.bound_S_max(e),
-        {"diagonal_equalization": dev, "barycentric": bary}, vc.x0,
-    )
+    return q, _make_certificate(e, q, "facet_area", vc.x0)
 
 
 def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
@@ -254,10 +251,7 @@ def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
             report=rep,
         )
     q = geometry.SphereOrthotope(*vertex_lambdas(rep.V, vc.y0))
-    return q, _make_certificate(
-        e, q, "edge_length", functionals.bound_L_max(e),
-        {"restricted_diagonal": _restricted_diagonal(e, q.U, vc.y0)}, vc.x0,
-    )
+    return q, _make_certificate(e, q, "edge_length", vc.x0)
 
 
 def construct_through_vertex(

@@ -104,16 +104,22 @@ def equalize_diagonal(m, tol=DEFAULT_TOLERANCES.equalizer_tol):
     entry lands exactly on tr(M)/n, then freeze that index. The angle solves
     (a+c)/2 + ((a-c)/2) cos 2t + b sin 2t = tr(M)/n, always solvable because
     the active maximum and minimum straddle the mean. Entries count as equal
-    within tol max|M|, so the scale of M does not matter.
+    within tol max|M|, so the scale of M does not matter; the report's
+    variances and threshold are in units of max|M| too.
     """
     m = linalg.sym_matrix(m)
     n = m.shape[0]
     t = float(np.trace(m)) / n
-    entry_tol = tol * float(np.max(np.abs(m)))
+    scale = float(np.max(np.abs(m))) or 1.0
+    entry_tol = tol * scale
+
+    def variance(d):
+        return float(np.sum(((d - t) / scale) ** 2))
+
     v = np.eye(n)
     w = m.copy()
     active = list(range(n))
-    history = [float(np.sum((np.diag(w) - t) ** 2))]
+    history = [variance(np.diag(w))]
     iters = 0
     while iters < n - 1:
         d = np.diag(w)
@@ -132,7 +138,7 @@ def equalize_diagonal(m, tol=DEFAULT_TOLERANCES.equalizer_tol):
         w = g.T @ w @ g
         active.remove(p)
         iters += 1
-        history.append(float(np.sum((np.diag(w) - t) ** 2)))
+        history.append(variance(np.diag(w)))
     final = linalg.sym_matrix(v.T @ m @ v)
     dev = float(np.max(np.abs(np.diag(final) - t)))
     return EqualizationReport(
@@ -140,8 +146,8 @@ def equalize_diagonal(m, tol=DEFAULT_TOLERANCES.equalizer_tol):
         iterations=iters,
         variance_history=history,
         converged=dev <= entry_tol,
-        final_variance=float(np.sum((np.diag(final) - t) ** 2)),
-        threshold=entry_tol,
+        final_variance=variance(np.diag(final)),
+        threshold=tol,
     )
 
 
@@ -243,7 +249,8 @@ def multistart(starts, q, residual, thresh, budget, accept=None, baseline=None):
     psi <= thresh and passes accept(V), when given. The baseline frame, when
     given, is the first best candidate and stops the loop at once if it
     meets the threshold. Returns an EqualizationReport whose V is the
-    accepted frame, or else the lowest-psi one.
+    accepted frame, or else the lowest-psi one; when no psi is finite, the
+    first start's frame.
     """
     best_v, best_psi, history = None, math.inf, []
     if baseline is not None:
@@ -267,6 +274,8 @@ def multistart(starts, q, residual, thresh, budget, accept=None, baseline=None):
         if converged or psi < best_psi:
             best_v, best_psi = v, psi
             history.append(psi)
+        elif best_v is None:
+            best_v = v
     return EqualizationReport(
         V=best_v,
         iterations=steps,

@@ -17,10 +17,6 @@ class DimensionTooSmall(InscribedExtremaError):
     pass
 
 
-class DimensionTooLarge(InscribedExtremaError):
-    pass
-
-
 class NotPositiveDefinite(InscribedExtremaError):
     pass
 

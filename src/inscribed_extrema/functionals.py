@@ -118,6 +118,15 @@ def bound_S_max(e):
     return exp_in_range(log_s, "S_max")
 
 
+def bound(e, functional):
+    """The sharp bound of the named functional: bound_L_max or bound_S_max."""
+    if functional == "edge_length":
+        return bound_L_max(e)
+    if functional == "facet_area":
+        return bound_S_max(e)
+    raise ValueError(f"unknown functional {functional!r}")
+
+
 def phi(lam):
     """Phi(lambda) = prod(lambda) * sqrt(sum(lambda^-2)).
 

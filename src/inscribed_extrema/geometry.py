@@ -15,14 +15,12 @@ from .config import DEFAULT_TOLERANCES
 from .errors import (
     DegenerateParallelepiped,
     DimensionMismatch,
-    DimensionTooLarge,
     NotInscribed,
     NotOrthotope,
 )
 
 LAMBDA_SUM_TOL = 1e-10
 EDGE_COSINE_TOL = 1e-8  # max |cos| between edges of W = B^-1 V that still counts as orthogonal
-VERTEX_ENUM_CAP = 20  # caps vertex listing (tangent_normals_dump); inscription needs none
 SIGMA_REL_FLOOR = 1e-12
 
 
@@ -107,23 +105,6 @@ class Parallelepiped:
 class InscribedReport:
     inscribed: bool
     max_residual: float
-
-
-def sign_vectors(n):
-    """All 2^n sign patterns, lexicographic with -1 before +1, index 0 most significant."""
-    if n > VERTEX_ENUM_CAP:
-        raise DimensionTooLarge(f"refusing to enumerate 2^{n} sign vectors")
-    eps = np.empty((2**n, n))
-    for i in range(n):
-        block = 2 ** (n - 1 - i)
-        eps[:, i] = np.tile(np.repeat([-1.0, 1.0], block), 2**i)
-    return eps
-
-
-def vertices(p):
-    """The 2^n vertices (1/2) sum_i eps_i v_i, ordered like sign_vectors."""
-    eps = sign_vectors(p.n)
-    return 0.5 * eps @ p.V.T
 
 
 def all_plus_vertex(p):

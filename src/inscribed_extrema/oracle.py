@@ -1,7 +1,6 @@
 """Stochastic verification against the closed-form bounds, a numerical
 explorer for the restricted diagonal-prescription problem (the equalizer's
-multistart loop), and two diagnostics (first-order stationarity,
-tangent-normal dump).
+multistart loop), and a first-order stationarity diagnostic.
 
 Each search trial owns a fixed block of a counter-based Philox stream keyed
 by the seed (Salmon, Moraes, Dror & Shaw, SC'11), turned into normals by
@@ -22,7 +21,7 @@ import numpy as np
 from . import equalizer, functionals, geometry, linalg
 from .config import DEFAULT_TOLERANCES
 from .constructors import DEGENERATE_TOL, VertexConstraint, vertex_lambdas
-from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput, NotInscribed
+from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput
 
 CHUNK = 1024
 STATIONARITY_STEP = 1e-5  # central-difference step of stationarity_check
@@ -115,14 +114,6 @@ def _frames(n, seed, t0, want_lambda):
     return draw
 
 
-def _bound_for(e, functional):
-    if functional == "edge_length":
-        return functionals.bound_L_max(e)
-    if functional == "facet_area":
-        return functionals.bound_S_max(e)
-    raise ValueError(f"unknown functional {functional!r}")
-
-
 def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, rule):
     """The chunked search loop behind both public searches.
 
@@ -136,7 +127,7 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
         raise NonPositiveInput("trials must be >= 1")
     if seed < 0:
         raise NonPositiveInput("seed must be >= 0")
-    bound = _bound_for(e, functional)
+    bound = functionals.bound(e, functional)
     limit = bound * (1.0 + bound_slack)
     best_value = -np.inf
     best_trial = -1
@@ -222,7 +213,9 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
     1/sqrt(n), i.e. frames U0 V with V in the stabilizer of the ones vector.
     equalizer.multistart runs the frame solver from each of the restarts
     seeded starts; the identity is the baseline candidate. Reports the best
-    residual found; no optimality claim.
+    residual found; no optimality claim. Both targets are solved on their
+    matrix over its trace, and the residual is multiplied back by that
+    trace, so no scale of A overflows or underflows it.
     """
     n = linalg.as_square(a).shape[0]
     if n < 2:
@@ -235,11 +228,14 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
         raise DimensionMismatch("y0 dimension does not match the matrix")
     if target == "edge_length":
         u0 = q = np.eye(n)
-        residual = equalizer.restricted_l_residual(a, y0)
+        scale = float(np.trace(a))
+        residual = equalizer.restricted_l_residual(a / scale, y0)
         draw = functools.partial(linalg.random_orthogonal, n)
     elif target == "facet_area":
         u0 = equalizer.barycentric_basis(y0)
         m = linalg.sym_matrix(u0.T @ geometry.Ellipsoid(a).C @ u0)
+        scale = float(np.trace(m))
+        m = m / scale
         h = equalizer.ones_frame(n)
         q = h[:, 1:]
         residual = equalizer.diag_residual(m, float(np.trace(m)) / n, q)
@@ -251,7 +247,7 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
         0.0, restarts * equalizer.STEPS_PER_START, baseline=np.eye(n),
     )
     return RshReport(
-        residual=math.sqrt(rep.final_variance), U=u0 @ rep.V, target=target,
+        residual=math.sqrt(rep.final_variance) * scale, U=u0 @ rep.V, target=target,
         restarts=restarts,
     )
 
@@ -288,24 +284,3 @@ def stationarity_check(e, q, functional):
         lm = 2.0 * lm / np.linalg.norm(lm)
         worst = max(worst, abs(value(u0, lp) - value(u0, lm)) / (2.0 * h))
     return worst
-
-
-@dataclass(frozen=True)
-class TangentNormalsDump:
-    vertices: np.ndarray
-    normals: np.ndarray
-    gram: np.ndarray
-
-
-def tangent_normals_dump(e, p):
-    """Outward unit normals C x / ||C x|| at all 2^n vertices, plus their Gram
-    matrix. Diagnostic only; nothing is asserted about the angles."""
-    rep = geometry.is_inscribed(e, p)
-    if not rep.inscribed:
-        raise NotInscribed(
-            f"parallelepiped is not inscribed (max vertex residual {rep.max_residual:.3e})"
-        )
-    verts = geometry.vertices(p)
-    raw = verts @ e.C
-    normals = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return TangentNormalsDump(vertices=verts, normals=normals, gram=normals @ normals.T)

@@ -95,6 +95,42 @@ def test_construct_S_max_residuals_are_relative():
     assert abs(cert.relative_gap) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [-200, 0, 200])
+def test_construct_L_max_cauchy_schwarz_residual_is_scale_free(k):
+    rng = np.random.default_rng(16)
+    for i in range(20):
+        e = Ellipsoid(10.0**k * random_spd(5, rng))
+        _, cert = construct_L_max(e, seed=i)
+        assert cert.equality_residuals["cauchy_schwarz"] <= 1e-14
+
+
+def test_certificate_keys_follow_the_functional_and_n():
+    # the equality conditions belong to the functional, not to the route:
+    # L (and S at n = 2, where S = L) is the Cauchy-Schwarz case, S at
+    # n >= 3 uniform lambda with an equal diag(U^T C U)
+    cs = {"cauchy_schwarz", "inscribed"}
+    s3 = {"uniform_lambda", "diagonal_equalization", "inscribed", "factored_vs_gram"}
+    e2 = Ellipsoid(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    x2 = e2.B @ np.array([0.6, 0.8])
+    e3 = Ellipsoid(random_spd(3, np.random.default_rng(3)))
+    e4 = Ellipsoid(np.diag([1.0, 2.0, 3.0, 4.0]))
+    x4 = np.array([0.0, 0.0, 0.0, 2.0])
+    routes = [
+        (construct_L_max(e2), cs),
+        (construct_L_max(e3), cs),
+        (construct_S_max(e2), cs | {"factored_vs_gram"}),
+        (construct_S_max(e3), s3),
+        (construct_vertex_2d(e2, x2, "edge_length"), cs | {"vertex"}),
+        (construct_vertex_2d(e2, x2, "facet_area"), cs | {"vertex", "factored_vs_gram"}),
+        (construct_vertex_eigen_L(e3, e3.B @ np.array([0.6, 0.0, 0.8])), cs | {"vertex"}),
+        (construct_vertex_eigen_S(e4, x4), s3 | {"vertex"}),
+    ]
+    for (_, cert), keys in routes:
+        assert set(cert.equality_residuals) == keys
+        assert max(cert.equality_residuals.values()) <= 1e-9
+        assert abs(cert.relative_gap) <= 1e-12
+
+
 # ---------------------------------------------------------------- 2D vertex
 
 
@@ -127,7 +163,7 @@ def test_vertex_2d_hits_vertex_and_bound():
                 assert np.linalg.norm(all_plus_vertex(p) - x0) <= 1e-13 * np.linalg.norm(x0)
                 # in the plane the vertex constraint costs nothing
                 assert abs(cert.relative_gap) <= 1e-13
-                assert cert.equality_residuals["restricted_diagonal"] <= 1e-14
+                assert cert.equality_residuals["cauchy_schwarz"] <= 1e-14
 
 
 def test_vertex_2d_rejects_other_dimensions():

@@ -258,6 +258,20 @@ def test_multistart_passes_over_rejected_solutions():
     assert rep.restarts == 2
 
 
+def test_multistart_keeps_the_first_start_when_no_psi_is_finite():
+    # no baseline, and every start's residual is infinite: the report still
+    # carries a frame (the first start's) that the CLI can emit
+    def residual(v):
+        return np.full(3, np.inf), np.zeros((3, 3))
+
+    starts = [random_orthogonal(3, seed) for seed in range(3)]
+    rep = multistart(starts, np.eye(3), residual, 1e-24, 3 * STEPS_PER_START)
+    assert not rep.converged and rep.restarts == 2
+    assert rep.V is starts[0]
+    assert rep.final_variance == np.inf
+    assert rep.to_dict()["V"] == starts[0].tolist()
+
+
 def test_multistart_budget_and_baseline():
     m = np.diag([1.0, 2.0, 3.0, 4.0])
     q = np.eye(4)

@@ -18,9 +18,9 @@ from inscribed_extrema import (
     orthotope_to_parallelepiped,
     parallelepiped_to_orthotope,
     random_orthogonal,
-    sign_vectors,
-    vertices,
 )
+
+from enumeration import sign_vectors, vertices
 
 
 def random_spd(n, rng, lo=0.1, hi=10.0):

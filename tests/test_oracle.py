@@ -11,7 +11,6 @@ from inscribed_extrema import (
     DimensionTooSmall,
     Ellipsoid,
     NonPositiveInput,
-    NotInscribed,
     SphereOrthotope,
     construct_L_max,
     construct_S_max,
@@ -24,7 +23,6 @@ from inscribed_extrema import (
     random_search_global,
     random_search_vertex,
     stationarity_check,
-    tangent_normals_dump,
 )
 from inscribed_extrema import oracle
 from inscribed_extrema.equalizer import barycentric_basis, diag_residual
@@ -243,28 +241,6 @@ def test_stationarity_detects_non_extremal():
     lam *= 2.0 / np.linalg.norm(lam)
     q = SphereOrthotope(u, lam)
     assert stationarity_check(e, q, "edge_length") > 1e-3
-
-
-def test_tangent_normals_unit_and_gram():
-    rng = np.random.default_rng(15)
-    e = Ellipsoid(random_spd(3, rng))
-    q, _ = construct_L_max(e, seed=0)
-    p = orthotope_to_parallelepiped(e, q)
-    dump = tangent_normals_dump(e, p)
-    assert dump.normals.shape == (8, 3)
-    assert_allclose(np.linalg.norm(dump.normals, axis=1), np.ones(8), atol=1e-12)
-    assert_allclose(dump.gram, dump.normals @ dump.normals.T, atol=1e-14)
-    # opposite sign vectors get opposite normals
-    assert_allclose(dump.normals[0], -dump.normals[-1], atol=1e-12)
-
-
-def test_tangent_normals_requires_inscribed():
-    e = Ellipsoid.ball(2)
-    from inscribed_extrema import Parallelepiped
-
-    p = Parallelepiped(0.3 * np.eye(2))
-    with pytest.raises(NotInscribed):
-        tangent_normals_dump(e, p)
 
 
 def test_explorer_edge_target_drives_residual_down():

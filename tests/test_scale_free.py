@@ -114,7 +114,7 @@ def _rotated_spd(n, rng, cond):
 def test_edge_vertex_construction_is_scale_free(tmp_path, capsys, k):
     # the free-z solver works on A / tr A: at 1e200 its threshold and residual
     # would otherwise overflow, and at 1e-200 the certificate's residual
-    # underflow; --tol-equalizer bounds the restricted diagonal residual
+    # underflow; --tol-equalizer bounds the Cauchy-Schwarz residual
     for cond in (10.0, 1e6, 1e10):
         rng = np.random.default_rng((4, int(math.log10(cond))))
         e = Ellipsoid(10.0**k * _rotated_spd(4, rng, cond))
@@ -130,4 +130,68 @@ def test_edge_vertex_construction_is_scale_free(tmp_path, capsys, k):
         assert code == 0, (cond, err)
         cert = json.loads(out)["result"]["certificate"]
         assert abs(cert["relative_gap"]) <= REL, cond
-        assert cert["equality_residuals"]["restricted_diagonal"] <= REL, cond
+        assert cert["equality_residuals"]["cauchy_schwarz"] <= REL, cond
+
+
+def _cli_result(tmp_path, capsys, a, argv, vertex=None):
+    """Exit code and result of one CLI call on the matrix a (and vector vertex)."""
+    m = tmp_path / "a.json"
+    m.write_text(json.dumps({"n": len(a), "data": np.asarray(a).tolist()}))
+    argv = [argv[0], "--matrix", str(m)] + argv[1:]
+    if vertex is not None:
+        v = tmp_path / "v.json"
+        v.write_text(json.dumps({"n": len(vertex), "data": np.asarray(vertex).tolist()}))
+        argv += ["--vertex", str(v)]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, (argv, err)
+    return json.loads(out)["result"]
+
+
+@pytest.mark.parametrize("k", [-300, -200, 200, 300])
+def test_pinning_equalizer_report_is_scale_free(tmp_path, capsys, k):
+    # the 3x3 input of test_extreme_scales_exit_cleanly; the report's variances
+    # are in units of max|M|, so at 1e200 and 1e300 they no longer overflow
+    # (exit 1) and at 1e-200 they no longer underflow to 0
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    a = (q * np.array([0.2, 1.0, 7.0])) @ q.T
+    a = 0.5 * (a + a.T)
+    ref = _cli_result(tmp_path, capsys, a, ["equalize"])
+    got = _cli_result(tmp_path, capsys, 10.0**k * a, ["equalize"])
+    assert got["converged"] is ref["converged"] is True
+    assert got["threshold"] == ref["threshold"]
+    assert len(got["variance_history"]) == len(ref["variance_history"])
+    for x, y in zip(got["variance_history"] + [got["final_variance"]],
+                    ref["variance_history"] + [ref["final_variance"]]):
+        assert abs(x - y) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [-200, 200])
+@pytest.mark.parametrize("functional", ["edge", "facet"])
+def test_explorer_residual_is_scale_free(tmp_path, capsys, functional, k):
+    # the explorer solves on its matrix over the trace and multiplies the
+    # residual back; the reported residual over that trace matches the one
+    # recomputed from U, and the unscaled run's, at n = 3 (a positive facet
+    # floor) and n = 4
+    for n in (3, 4):
+        rng = np.random.default_rng((n, 16))
+        a = _rotated_spd(n, rng, 1e3)
+        y = rng.normal(size=n)
+        y /= np.linalg.norm(y)
+        argv = ["explore-rsh", "--functional", functional, "--restarts", "2", "--seed", "0"]
+        rel = []
+        for s in (1.0, 10.0**k):
+            res = _cli_result(tmp_path, capsys, s * a, argv, vertex=y)
+            e = Ellipsoid(s * a)
+            u = np.asarray(res["U"])
+            z = u.T @ y
+            if functional == "edge":
+                tr = float(np.trace(e.A))
+                r = np.diag(u.T @ (e.A / tr) @ u) - z * z
+            else:
+                tr = float(np.trace(e.C))
+                r = np.diag(u.T @ (e.C / tr) @ u) - 1.0 / n
+            assert abs(res["residual"] / tr - float(np.linalg.norm(r))) <= 1e-12, n
+            rel.append(res["residual"] / tr)
+        assert abs(rel[1] - rel[0]) <= 1e-12, (n, rel)
