@@ -33,14 +33,11 @@ from .errors import (
     InscribedExtremaError,
     NonPositiveInput,
     NotConverged,
-    NotEigenvector,
     NotInscribed,
     NotOnBoundary,
     NotOrthotope,
     NotPositiveDefinite,
-    NotRowConstant,
     OutOfRange,
-    UnsupportedCase,
     WrongDimension,
 )
 from .functionals import (

@@ -1,14 +1,12 @@
 """Extremal inscribed parallelepipeds.
 
-Global maximizers for both functionals, and vertex-constrained maximizers in
-the cases with a construction: any boundary point for n=2 (the exact root
-of one trigonometric equation), any boundary point for the edge length (the
-free-z residual equalizer.restricted_l_residual), and eigenvector boundary
-points for the facet area when n >= 3 (the barycentric equalizer). The two
-n >= 3 cases solve their diagonal conditions with equalizer.multistart. The
-facet-area case through a general boundary point for n >= 3 is open; the
-dispatcher routes it to UnsupportedCase and the oracle explorer, on the
-same solver, gathers evidence instead.
+Global maximizers for both functionals, and vertex-constrained maximizers
+through any boundary point: for n=2 the exact root of one trigonometric
+equation, for the edge length the free-z residual
+equalizer.restricted_l_residual, and for the facet area the barycentric
+equalizer on U0^T C U0. The two n >= 3 cases solve their diagonal
+conditions with equalizer.multistart; where no frame meets the condition,
+NotConverged carries the best one found.
 """
 
 import itertools
@@ -23,13 +21,10 @@ from .errors import (
     DegenerateVertex,
     DimensionMismatch,
     NotConverged,
-    NotEigenvector,
     NotOnBoundary,
-    UnsupportedCase,
     WrongDimension,
 )
 
-EIGENVECTOR_TOL = 1e-8   # deliberately loose; final vertex residuals are the real gate
 BOUNDARY_TOL = 1e-10
 DEGENERATE_TOL = 1e-12  # smallest |z_i| = |u_i . y0| that still gives a nondegenerate edge
 # free-z starts the edge-length vertex construction tries before giving up
@@ -182,37 +177,23 @@ def construct_vertex_2d(e, x0, functional="edge_length"):
 
 
 def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
-    """Facet-area maximizer through an eigenvector boundary point.
+    """Facet-area maximizer through any boundary point (the name predates
+    the general case: x0 need not be an eigenvector).
 
-    Uniform lambda = 2/sqrt(n) and the barycentric frame U0 V: the
-    barycentric basis U0 of y0 puts the vertex at x0, and the constrained
-    equalizer on U0^T C U0 equalizes the diagonal without moving it.
-    Feasible whenever the constrained equalizer converges: always for
-    balls, and for every n = 4, 6 and 8 input seen so far. It is provably
-    impossible for n=3 with an anisotropic restriction, and some odd-n
-    inputs (n = 5, rarely n = 7) have a positive variance floor; then
-    NotConverged propagates with the best frame found.
+    Uniform lambda = 2/sqrt(n) pins the all-plus vertex at x0 exactly for
+    the frames U = U0 V with V 1 = 1, U0 the barycentric basis of y0. Such
+    a frame attains S_max when diag(V^T M V) = tr(M)/n, M = U0^T C U0,
+    which the barycentric equalizer solves. Where it finds no such frame
+    (always for n = 3 through an eigenvector of an anisotropic ellipsoid,
+    where the variance is invariant along the orbit; sometimes at odd n or
+    through general points), NotConverged propagates with the best frame.
     """
     if e.n == 2:
         return construct_vertex_2d(e, x0, functional="facet_area")
-    n = e.n
     vc = VertexConstraint.from_point(e, x0)
-    y0 = vc.y0
-    eig_res = float(np.linalg.norm(e.C @ y0 - float(y0 @ e.C @ y0) * y0))
-    gate = EIGENVECTOR_TOL * float(np.max(np.abs(1.0 / e.eigenvalues)))
-    if eig_res > gate:
-        raise NotEigenvector(
-            f"y0 is not an eigenvector direction (residual {eig_res:.3e} > {gate:.1e})"
-        )
-    u0 = equalizer.barycentric_basis(y0)
-    m = linalg.sym_matrix(u0.T @ e.C @ u0)
-    # the row-sum defect inherits the loose eigenvector gate, not 1e-9||M||
-    scale = float(np.max(np.abs(m)))
-    row_tol = 1e-9 * (scale if scale > 0 else 1.0) + 4.0 * math.sqrt(n) * eig_res * float(
-        np.max(np.abs(e.C))
-    )
-    rep = equalizer.equalize_diagonal_barycentric(m, tol=tol, seed=seed, row_tol=row_tol)
-    q = geometry.SphereOrthotope(u0 @ rep.V, np.full(n, 2.0 / math.sqrt(n)))
+    u0 = equalizer.barycentric_basis(vc.y0)
+    rep = equalizer.equalize_diagonal_barycentric(u0.T @ e.C @ u0, tol=tol, seed=seed)
+    q = geometry.SphereOrthotope(u0 @ rep.V, np.full(e.n, 2.0 / math.sqrt(e.n)))
     return q, _make_certificate(e, q, "facet_area", vc.x0)
 
 
@@ -257,23 +238,10 @@ def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
 def construct_through_vertex(
     e, x0, functional="facet_area", tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
 ):
-    """Route a vertex-constrained request to the case that can solve it.
-
-    n=2 always works, and so does the edge length for every n. For n >= 3
-    the facet area has a construction only through eigenvector boundary
-    points (balls included, every direction is an eigenvector there).
-    Everything else is the open case: UnsupportedCase points at the
-    restricted Schur-Horn explorer in the oracle module.
-    """
+    """Route a vertex-constrained request to its functional's construction;
+    both take any boundary point of any dimension."""
     if functional not in ("edge_length", "facet_area"):
         raise ValueError(f"unknown functional {functional!r}")
     if functional == "edge_length":
         return construct_vertex_eigen_L(e, x0, tol=tol, seed=seed)
-    try:
-        return construct_vertex_eigen_S(e, x0, tol=tol, seed=seed)
-    except NotEigenvector as exc:
-        raise UnsupportedCase(
-            "no facet-area construction is known through a non-eigenvector boundary "
-            "point for n >= 3; explore_restricted_schur_horn gathers numerical evidence "
-            "instead"
-        ) from exc
+    return construct_vertex_eigen_S(e, x0, tol=tol, seed=seed)

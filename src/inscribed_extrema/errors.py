@@ -45,10 +45,6 @@ class ConstraintViolated(InscribedExtremaError):
     pass
 
 
-class NotRowConstant(InscribedExtremaError):
-    pass
-
-
 class NotConverged(InscribedExtremaError):
     """Iteration budget exhausted, or the target is provably unreachable.
 
@@ -65,13 +61,5 @@ class DegenerateVertex(InscribedExtremaError):
     pass
 
 
-class NotEigenvector(InscribedExtremaError):
-    pass
-
-
 class NotOnBoundary(InscribedExtremaError):
-    pass
-
-
-class UnsupportedCase(InscribedExtremaError):
     pass

@@ -44,10 +44,22 @@ def test_bounds_values_and_manifest(tmp_path, capsys):
     assert abs(res["S_max"] - OVER_SQRT3_S) < 1e-12
     assert abs(res["tr_A"] - 14.0) < 1e-12
     assert abs(res["det_A"] - 36.0) < 1e-9
+    assert abs(res["log_det_A"] - math.log(36.0)) < 1e-12
     man = doc["manifest"]
     assert man["command"] == "bounds"
     assert len(man["inputs"]["matrix"]["sha256"]) == 64
     assert man["version"]
+
+
+def test_bounds_det_a_out_of_range_is_null(tmp_path, capsys):
+    # det A leaves float64 long before the bounds do; its log is always reported
+    m = write_matrix(tmp_path, "a.json", (1e-217 * np.diag([1.0, 2.0, 3.0])).tolist())
+    code, out, _ = run_cli(capsys, ["bounds", "--matrix", m])
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["det_A"] is None
+    assert abs(res["log_det_A"] - (math.log(6.0) - 651.0 * math.log(10.0))) < 1e-9
+    assert res["tr_A"] == pytest.approx(6e-217, rel=1e-12)
 
 
 def test_construct_then_verify_round_trip(tmp_path, capsys):
@@ -94,8 +106,11 @@ def test_construct_then_verify_past_vertex_enumeration_cap(tmp_path, capsys):
     assert res["max_vertex_residual"] <= 1e-12
 
 
-def test_asymmetric_matrix_rejected(tmp_path, capsys):
-    m = write_matrix(tmp_path, "a.json", [[1.0, 0.5], [0.0, 1.0]])
+@pytest.mark.parametrize("k", [-20, -12, 0, 12])
+def test_asymmetric_matrix_rejected(tmp_path, capsys, k):
+    # the symmetry test is relative to max|A|, so no scale slips through
+    a = 10.0**k * np.array([[2.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    m = write_matrix(tmp_path, "a.json", a.tolist())
     code, out, err = run_cli(capsys, ["bounds", "--matrix", m])
     assert code == 1
     assert "not symmetric" in err
@@ -192,11 +207,17 @@ def test_equalize_barycentric_impossible_case(tmp_path, capsys):
     assert abs(res["final_variance"] - 2.0) < 1e-9
 
 
-def test_equalize_row_constant_required(tmp_path, capsys):
+def test_equalize_barycentric_non_row_constant_runs_solver(tmp_path, capsys):
     m = write_matrix(tmp_path, "a.json", np.diag([1.0, 2.0, 3.0]).tolist())
-    code, _, err = run_cli(capsys, ["equalize", "--matrix", m, "--barycentric", "--seed", "0"])
-    assert code == 1
-    assert "row" in err.lower()
+    code, out, _ = run_cli(
+        capsys, ["equalize", "--matrix", m, "--barycentric", "--seed", "0", "--max-iter", "300"]
+    )
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "NotConverged"
+    assert "after 300 solver steps" in doc["error"]["message"]
+    v = np.asarray(doc["result"]["V"])
+    assert np.max(np.abs(v @ np.ones(3) - 1.0)) <= 1e-12
 
 
 def test_ci_mode_requires_seed(tmp_path, capsys, monkeypatch):
@@ -337,7 +358,7 @@ def test_construct_impossible_vertex_facet_exits_2(tmp_path, capsys):
     )
     assert code == 2
     doc = json.loads(out)
-    assert doc["error"]["type"] in ("NotConverged", "UnsupportedCase")
+    assert doc["error"]["type"] == "NotConverged"
 
 
 def test_manifest_tolerances_match_the_flags(tmp_path, capsys):

@@ -6,9 +6,7 @@ from inscribed_extrema import (
     DegenerateVertex,
     Ellipsoid,
     NotConverged,
-    NotEigenvector,
     NotOnBoundary,
-    UnsupportedCase,
     VertexConstraint,
     WrongDimension,
     all_plus_vertex,
@@ -263,12 +261,63 @@ def test_vertex_eigen_S_random_axes(n):
         assert np.linalg.norm(all_plus_vertex(p) - x0) <= VERTEX_TOL * np.linalg.norm(x0)
 
 
-def test_vertex_eigen_S_rejects_non_eigenvector():
+def test_vertex_eigen_S_n3_general_point_runs_solver():
+    # off an eigenvector the ones vector is no eigenvector of U0^T C U0, so
+    # the n = 3 orbit argument does not apply: the solver runs its budget
     e = Ellipsoid(np.diag([1.0, 4.0, 9.0]))
     x0 = np.array([0.6, 0.8, 0.0])
     x0 /= np.sqrt(x0 @ e.C @ x0)
-    with pytest.raises(NotEigenvector):
+    with pytest.raises(NotConverged, match="solver steps") as info:
         construct_vertex_eigen_S(e, x0)
+    v = info.value.report.V
+    assert np.max(np.abs(v @ np.ones(3) - 1.0)) <= 1e-12
+
+
+# inputs k (seed k) of _general_points(n) that reach S_max; the others at
+# n = 4, 5, 6 and 8 stop unconverged after the whole budget
+GENERAL_POINTS_ATTAINED = {
+    4: (0, 3, 4, 5, 6),
+    5: (1, 2, 4, 5, 7),
+    6: (0, 1, 2, 3, 4),
+    7: (0, 1, 2, 3, 4),
+    8: (0, 1, 2, 3, 4),
+}
+
+
+def _general_points(n):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(20):
+        e = Ellipsoid(random_spd(n, rng))
+        y = rng.normal(size=n)
+        yield e, e.B @ (y / np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("n", sorted(GENERAL_POINTS_ATTAINED))
+def test_vertex_S_through_general_points(n):
+    for k, (e, x0) in enumerate(_general_points(n)):
+        if k not in GENERAL_POINTS_ATTAINED[n]:
+            continue
+        q, cert = construct_through_vertex(e, x0, functional="facet_area", seed=k)
+        res = cert.equality_residuals
+        assert abs(cert.relative_gap) <= 1e-9
+        for key in ("uniform_lambda", "diagonal_equalization", "vertex", "inscribed"):
+            assert res[key] <= 1e-9, (k, key, res[key])
+
+
+@pytest.mark.parametrize("k", [-6, 0, 6])
+def test_vertex_S_tilted_eigenvector_same_outcome_at_every_scale(k):
+    # a 3e-9 tilt off an eigenvector makes U0^T C U0 row-constant only
+    # approximately; whether a certificate comes back must not depend on the
+    # scale of A. diagonal_equalization is left out: at 1e6 the equalizer's
+    # absolute threshold accepts a larger relative deviation (ROADMAP item 1)
+    a, y0, _ = spd_with_known_axis(4, np.random.default_rng(704))
+    y = y0 + 3e-9 * np.roll(y0, 1)
+    e = Ellipsoid(10.0**k * a)
+    x0 = e.B @ (y / np.linalg.norm(y))
+    q, cert = construct_through_vertex(e, x0, functional="facet_area", seed=0)
+    assert abs(cert.relative_gap) <= 1e-9
+    assert cert.equality_residuals["uniform_lambda"] <= 1e-9
+    assert cert.equality_residuals["vertex"] <= 1e-9
 
 
 def test_vertex_eigen_S_n3_floor_is_honest():
@@ -306,13 +355,15 @@ def test_dispatch_2d_routes():
     assert cert.achieved.functional_kind == "facet_area"
 
 
-def test_dispatch_non_eigenvector_unsupported():
-    # the facet area through a general point for n >= 3 is the open case
-    e = Ellipsoid(np.diag([1.0, 2.0, 4.0]))
-    y = np.array([0.5, 0.5, 0.70710678])
+def test_dispatch_facet_through_general_point():
+    # the facet area through a non-eigenvector point takes the same route as
+    # through an eigenvector one
+    e = Ellipsoid(np.diag([1.0, 2.0, 4.0, 8.0]))
+    y = np.array([0.1, 0.2, 0.3, 0.9])
     x0 = y / np.sqrt(y @ e.C @ y)
-    with pytest.raises(UnsupportedCase):
-        construct_through_vertex(e, x0, functional="facet_area")
+    q, cert = construct_through_vertex(e, x0, functional="facet_area")
+    assert abs(cert.relative_gap) <= 1e-9
+    assert cert.equality_residuals["vertex"] <= VERTEX_TOL
 
 
 def test_vertex_lambdas_signs():

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from inscribed_extrema import (
     DimensionTooSmall,
     NotConverged,
-    NotRowConstant,
     barycentric_basis,
     equalize_diagonal,
     equalize_diagonal_barycentric,
@@ -106,10 +105,19 @@ def test_barycentric_rejects_small_n():
         equalize_diagonal_barycentric(np.diag([2.0, 1.0]))
 
 
-def test_barycentric_rejects_non_row_constant():
-    m = np.diag([1.0, 2.0, 3.0])
-    with pytest.raises(NotRowConstant):
-        equalize_diagonal_barycentric(m)
+def test_barycentric_non_row_constant_runs_solver():
+    # constant row sums are the premise of the n = 3 orbit argument only:
+    # without them n = 3 runs the solver to its budget, and n = 4 converges
+    with pytest.raises(NotConverged, match="after 300 solver steps") as info:
+        equalize_diagonal_barycentric(np.diag([1.0, 2.0, 3.0]), max_iter=300)
+    rep = info.value.report
+    assert np.max(np.abs(rep.V @ np.ones(3) - 1.0)) <= 1e-12
+    assert rep.final_variance < rep.variance_history[0]
+    m = np.diag([1.0, 2.0, 3.0, 5.0])
+    rep = equalize_diagonal_barycentric(m)
+    assert rep.converged
+    assert np.max(np.abs(rep.V @ np.ones(4) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.diag(rep.V.T @ m @ rep.V) - 2.75)) <= 1e-9
 
 
 def test_barycentric_trivial_input():

@@ -70,14 +70,13 @@ def test_tolerance_keywords_are_the_ones_callers_set():
 
 
 def test_tolerance_defaults_are_config_fields():
-    # None: the tolerance is derived from the input's scale (row_tol)
     def from_config(d):
         return (
             isinstance(d, ast.Attribute)
             and isinstance(d.value, ast.Name)
             and d.value.id == "DEFAULT_TOLERANCES"
             and d.attr in FIELDS
-        ) or (isinstance(d, ast.Constant) and d.value is None)
+        )
 
     params = _tolerance_parameters()
     assert [f"{name}({arg})" for name, arg, d in params if not from_config(d)] == []
