@@ -4,9 +4,9 @@ JSON in, JSON out. Matrices are {"n": int, "data": [[row], ...]}, vectors
 {"n": int, "data": [...]}, parallelepipeds {"n": int, "edges": [[edge], ...]}.
 Every result carries a run manifest (input hashes, seed, tolerances,
 version) so a run can be reproduced byte for byte. A subcommand takes only
-the tolerance flags it applies; they default to config.DEFAULT_TOLERANCES.
-Input entries must be finite, and output is strict JSON (no NaN or
-Infinity).
+the tolerance flags it applies; they default to config.DEFAULT_TOLERANCES
+and must be finite and >= 0. Input entries must be finite, and output is
+strict JSON (no NaN or Infinity).
 
 Exit codes: 0 success, 1 validation error, 2 not converged, 3 bound
 violation found by a search.
@@ -354,6 +354,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, key in TOLERANCE_FLAGS.items():
+            if not 0.0 <= getattr(args, key, 0.0) < math.inf:
+                raise CliError(f"{flag} must be a finite number >= 0")
         code, result, error = args.run(args)
         _emit(args, result, error)
         return code

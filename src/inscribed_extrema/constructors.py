@@ -183,10 +183,9 @@ def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     Uniform lambda = 2/sqrt(n) pins the all-plus vertex at x0 exactly for
     the frames U = U0 V with V 1 = 1, U0 the barycentric basis of y0. Such
     a frame attains S_max when diag(V^T M V) = tr(M)/n, M = U0^T C U0,
-    which the barycentric equalizer solves. Where it finds no such frame
-    (always for n = 3 through an eigenvector of an anisotropic ellipsoid,
-    where the variance is invariant along the orbit; sometimes at odd n or
-    through general points), NotConverged propagates with the best frame.
+    which the barycentric equalizer solves. Where it finds none (at n = 3
+    almost always, with a proven floor; sometimes at odd n or through
+    general points), NotConverged propagates with the best frame.
     """
     if e.n == 2:
         return construct_vertex_2d(e, x0, functional="facet_area")

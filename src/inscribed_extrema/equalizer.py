@@ -7,15 +7,14 @@ Two regimes:
   spectrum, so every step is solvable in closed form).
 
 * equalize_diagonal_barycentric: the frame must fix the all-ones vector.
-  gauss_newton_frame solves diag(V^T M V) = tr(M)/n on that stabilizer with
-  Cayley steps generated inside the ones-complement, from the identity and
-  then from seeded random stabilizer elements. M need not have constant row
-  sums. This constrained problem is NOT always feasible: for n=3 with
-  constant row sums the diagonal variance is invariant along the whole
-  stabilizer orbit, and for n=5 (odd n in general) there are open sets of
-  row-constant inputs whose variance has a positive floor. The routine
-  reports the best frame found and raises NotConverged honestly in those
-  cases.
+  At n = 3 the stabilizer is one circle of rotations, on which the diagonal
+  variance is a + b cos 3x + c sin 3x: three evaluations give its proven
+  minimum, and the problem is feasible only where a = hypot(b, c). For
+  n >= 4 gauss_newton_frame solves diag(V^T M V) = tr(M)/n on the
+  stabilizer with Cayley steps generated inside the ones-complement, from
+  the identity and then from seeded random stabilizer elements; for n=5
+  (odd n in general) there are open sets of row-constant inputs whose
+  variance has a positive floor. NotConverged then carries the best frame.
 
 gauss_newton_frame is the one solver for diagonal prescriptions on a frame,
 and multistart the one loop that runs it from a sequence of starts: the
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT_TOLERANCES
-from .errors import DimensionTooSmall, NotConverged
+from .errors import DimensionTooSmall, NotConverged, OutOfRange
 
 # Gauss-Newton needs a handful of steps near a regular root; a start that
 # has not converged in STEPS_PER_START is crawling and gives way to the next
@@ -40,9 +39,6 @@ STEPS_PER_START = 60
 # step 4x harder, so the last one tried is already tiny; near a positive
 # floor the steps only crawl, and a fresh start costs less
 MAX_REJECTS = 8
-# row sums equal within this fraction of max|M| make the ones vector an
-# eigenvector of M, the premise of the n = 3 orbit-invariance proof
-ROW_CONSTANT_TOL = 1e-9
 
 
 @dataclass
@@ -294,17 +290,20 @@ def multistart(starts, q, residual, thresh, budget, accept=None, baseline=None):
 def equalize_diagonal_barycentric(m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_iter=None, seed=0):
     """Equalize diag(V^T M V) with V in the stabilizer of the all-ones vector.
 
-    M is any symmetric matrix: every V keeps the trace, so the target
-    tr(M)/n is the same along the whole stabilizer. multistart runs
-    gauss_newton_frame from the identity, then from seeded random
-    stabilizer elements, until the variance is under the threshold or
-    max_iter steps are spent.
+    Every such V keeps the trace, so the target t = tr(M)/n holds along the
+    whole stabilizer. For n >= 4 multistart runs gauss_newton_frame from the
+    identity, then from seeded random stabilizer elements, until
+    psi = ||diag(V^T M V) - t||^2 <= (tol (1 + |t|))^2 or max_iter steps are spent.
 
-    Raises NotConverged with the best report attached when the variance is
-    not brought under the threshold. For n=3 with constant row sums (the
-    all-ones vector an eigenvector of M) the variance is provably invariant
-    on the whole stabilizer orbit, so that failure is reported at once, for
-    the identity frame.
+    n = 3 takes 0 steps. The stabilizer is V(x) = h diag(1, R(x)) h^T with
+    h = ones_frame(3); a third of a turn permutes the diagonal and psi has
+    degree 4, so psi(x) = a + b cos 3x + c sin 3x. Its values at x = 0, pi/6
+    and pi/3 on (M - tI) / max|M - tI| fix its least value a - hypot(b, c),
+    at 3x = atan2(-c, -b). The threshold is (tol max|M|)^2, and that turn is
+    taken only where it lowers ||diag - t|| by more than rounding, 64 eps max|M|.
+
+    NotConverged carries the best report when psi stays above the threshold
+    (at n = 3 a proven floor); OutOfRange means psi or the threshold leaves float64.
     """
     m = linalg.sym_matrix(m)
     n = m.shape[0]
@@ -313,34 +312,33 @@ def equalize_diagonal_barycentric(m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_i
             "barycentric equalization requires n >= 3: the stabilizer of the "
             "ones vector is trivial on 2x2 diagonals"
         )
-    if max_iter is None:
-        max_iter = 500 * n * n
-    t = float(np.trace(m)) / n
-    thresh = (tol * (1.0 + abs(t))) ** 2
-    rng = np.random.default_rng(seed)
-    h = ones_frame(n)
-    eye = np.eye(n)
-    row_sums = m @ np.ones(n)
-    orbit_invariant = n == 3 and float(np.max(np.abs(row_sums - np.mean(row_sums)))) <= (
-        ROW_CONSTANT_TOL * (float(np.max(np.abs(m))) or 1.0)
-    )
-    starts = () if orbit_invariant else itertools.chain(
-        [eye], (random_stabilizer(h, rng) for _ in itertools.count())
-    )
-    report = multistart(
-        starts, h[:, 1:], diag_residual(m, t, h[:, 1:]), thresh, max_iter, baseline=eye
-    )
+    max_iter = 500 * n * n if max_iter is None else max_iter
+    t, h, eye = float(np.trace(m)) / n, ones_frame(n), np.eye(n)
+    q, base, starts = h[:, 1:], eye, ()
+    scale = float(np.max(np.abs(m))) if n == 3 else 1.0 + abs(t)
+    s = float(tol) * scale  # a float product overflows to inf where ** raises
+    psi_eye = sum(d * d for d in (np.diag(m) - t).tolist())
+    if not (math.isfinite(s * s) and math.isfinite(psi_eye)):
+        raise OutOfRange(f"threshold {s:.3e}^2 or identity variance {psi_eye:.3e} leaves float64")
+    thresh = s**2
+    if n == 3:
+        spread = float(np.max(np.abs(m - t * eye))) or 1.0
+        v = h @ np.array([linalg.givens(3, 1, 2, x) for x in (0.0, math.pi / 6, math.pi / 3)]) @ h.T
+        p0, p1, p2 = np.sum(np.einsum("kji,jl,kli->ki", v, (m - t * eye) / spread, v) ** 2, axis=1)
+        a, b, c = 0.5 * (p0 + p2), 0.5 * (p0 - p2), p1 - 0.5 * (p0 + p2)
+        gain = spread * (math.sqrt(p0) - math.sqrt(max(a - math.hypot(b, c), 0.0)))
+        if psi_eye > thresh and gain > 64 * np.finfo(float).eps * scale:  # else it gains only rounding
+            base = h @ linalg.givens(3, 1, 2, math.atan2(-c, -b) / 3.0) @ h.T
+    else:
+        rng = np.random.default_rng(seed)
+        starts = itertools.chain([eye], (random_stabilizer(h, rng) for _ in itertools.count()))
+    report = multistart(starts, q, diag_residual(m, t, q), thresh, max_iter, baseline=base)
     if not report.converged:
-        if orbit_invariant:
-            msg = (
-                "diagonal variance is invariant along the stabilizer orbit for n=3; "
-                f"floor {report.final_variance:.6e} exceeds threshold {thresh:.1e}"
-            )
-        else:
-            msg = (
-                f"variance floor {report.final_variance:.6e} not brought under "
-                f"{thresh:.1e} after {report.iterations} solver steps and "
-                f"{report.restarts} restarts"
-            )
-        raise NotConverged(msg, report=report)
+        raise NotConverged(
+            f"proven least diagonal variance {report.final_variance:.6e} on the n=3 "
+            f"stabilizer orbit exceeds threshold {thresh:.1e}" if n == 3 else
+            f"variance floor {report.final_variance:.6e} not brought under {thresh:.1e} "
+            f"after {report.iterations} solver steps and {report.restarts} restarts",
+            report=report,
+        )
     return report

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from inscribed_extrema import cli
+from orbit import grid_floor, psi as orbit_psi
 
 SQRT14_L = 29.93325909419153
 OVER_SQRT3_S = 32.331615074619044
@@ -208,16 +209,23 @@ def test_equalize_barycentric_impossible_case(tmp_path, capsys):
 
 
 def test_equalize_barycentric_non_row_constant_runs_solver(tmp_path, capsys):
-    m = write_matrix(tmp_path, "a.json", np.diag([1.0, 2.0, 3.0]).tolist())
+    # n = 3 needs no row-constant premise and no solver: the closed form
+    # reports the orbit's least variance after 0 steps, whatever --max-iter says
+    a = np.diag([1.0, 2.0, 3.0])
+    m = write_matrix(tmp_path, "a.json", a.tolist())
     code, out, _ = run_cli(
         capsys, ["equalize", "--matrix", m, "--barycentric", "--seed", "0", "--max-iter", "300"]
     )
     assert code == 2
     doc = json.loads(out)
     assert doc["error"]["type"] == "NotConverged"
-    assert "after 300 solver steps" in doc["error"]["message"]
-    v = np.asarray(doc["result"]["V"])
+    assert "proven least diagonal variance" in doc["error"]["message"]
+    res = doc["result"]
+    assert res["iterations"] == 0 and res["converged"] is False
+    v = np.asarray(res["V"])
     assert np.max(np.abs(v @ np.ones(3) - 1.0)) <= 1e-12
+    assert res["final_variance"] <= (1.0 + 1e-9) * grid_floor(a)
+    assert res["final_variance"] < orbit_psi(a, np.eye(3))
 
 
 def test_ci_mode_requires_seed(tmp_path, capsys, monkeypatch):
@@ -391,6 +399,49 @@ def test_manifest_tolerances_match_the_flags(tmp_path, capsys):
         # every flag is recorded, and every recorded tolerance came from a flag
         assert sorted(recorded.values()) == [(k + 1) * 1e-3 for k in range(len(flags))]
         assert sorted(recorded) == sorted(cli.TOLERANCE_FLAGS[flag] for flag in flags)
+
+
+# a valid run of each subcommand that applies the flag; PE is the parallelepiped
+TOLERANCE_RUNS = {
+    "--tol-equalizer": ["construct", "--functional", "facet", "--seed", "0"],
+    "--tol-inscribed": ["verify", "--parallelepiped", "PE"],
+    "--tol-bound-slack": ["search", "--functional", "edge", "--trials", "5", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", sorted(TOLERANCE_RUNS))
+def test_bad_tolerance_rejected(tmp_path, capsys, flag, value):
+    # the equalizer thresholds square the tolerance: a negative one would
+    # turn into a loose positive threshold, so the boundary refuses it
+    m = write_matrix(tmp_path, "a.json", np.diag([1.0, 4.0, 9.0, 16.0]).tolist())
+    pe = tmp_path / "p.json"
+    pe.write_text(json.dumps({"n": 4, "edges": np.eye(4).tolist()}))
+    argv = [str(pe) if arg == "PE" else arg for arg in TOLERANCE_RUNS[flag]]
+    code, out, err = run_cli(capsys, argv + ["--matrix", m, flag, value])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {flag} must be a finite number >= 0"]
+
+
+@pytest.mark.parametrize("argv, scale", [
+    (["equalize", "--barycentric", "--seed", "0"], 1e200),
+    (["construct", "--functional", "facet", "--seed", "0"], 1e-250),
+], ids=["equalize-1e200", "construct-1e-250"])
+def test_barycentric_threshold_overflow_exits_1(tmp_path, capsys, argv, scale):
+    # the squared threshold leaves float64 once tol times its scale, 1 + |t|
+    # or at n = 3 max|M|, passes about 1e154: one line naming it, not a
+    # traceback, and never an infinite threshold
+    a = np.diag([1.0, 4.0, 9.0, 16.0])
+    if argv[0] == "equalize":
+        a = a[:3, :3] + np.ones((3, 3))
+    m = write_matrix(tmp_path, "a.json", (scale * a).tolist())
+    if argv[0] == "construct":
+        argv = argv + ["--vertex", write_vector(tmp_path, "x0.json", [scale**0.5, 0.0, 0.0, 0.0])]
+    code, out, err = run_cli(capsys, argv[:1] + ["--matrix", m] + argv[1:])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "leaves float64" in err
 
 
 def test_tol_ortho_flag_rejected(tmp_path, capsys):

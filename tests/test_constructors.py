@@ -10,6 +10,7 @@ from inscribed_extrema import (
     VertexConstraint,
     WrongDimension,
     all_plus_vertex,
+    barycentric_basis,
     bound_L_max,
     bound_S_max,
     construct_L_max,
@@ -23,6 +24,7 @@ from inscribed_extrema import (
     random_orthogonal,
     vertex_lambdas,
 )
+from orbit import grid_floor, psi as orbit_psi
 
 VERTEX_TOL = 1e-9
 
@@ -262,15 +264,37 @@ def test_vertex_eigen_S_random_axes(n):
 
 
 def test_vertex_eigen_S_n3_general_point_runs_solver():
-    # off an eigenvector the ones vector is no eigenvector of U0^T C U0, so
-    # the n = 3 orbit argument does not apply: the solver runs its budget
+    # off an eigenvector the ones vector is no eigenvector of M = U0^T C U0;
+    # the n = 3 closed form still needs no solver step and reports the least
+    # variance on the orbit, a floor far above the threshold
     e = Ellipsoid(np.diag([1.0, 4.0, 9.0]))
     x0 = np.array([0.6, 0.8, 0.0])
     x0 /= np.sqrt(x0 @ e.C @ x0)
-    with pytest.raises(NotConverged, match="solver steps") as info:
+    with pytest.raises(NotConverged, match="proven least diagonal variance") as info:
         construct_vertex_eigen_S(e, x0)
-    v = info.value.report.V
-    assert np.max(np.abs(v @ np.ones(3) - 1.0)) <= 1e-12
+    rep = info.value.report
+    u0 = barycentric_basis(VertexConstraint.from_point(e, x0).y0)
+    m = u0.T @ e.C @ u0
+    assert rep.iterations == 0
+    assert np.max(np.abs(rep.V @ np.ones(3) - 1.0)) <= 1e-12
+    assert rep.final_variance <= (1.0 + 1e-9) * grid_floor(m)
+    assert rep.final_variance < orbit_psi(m, np.eye(3))
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-6, 1.0, 1e6, 1e150])
+def test_vertex_eigen_S_n3_sphere_certifies(c):
+    # on a sphere M = U0^T C U0 is cI up to rounding, so every frame attains
+    # S_max; near-spheres I + 1e-14 W likewise, within their 1e-14 spread
+    rng = np.random.default_rng(705)
+    w = rng.normal(size=(3, 3))
+    for a in (np.eye(3), np.eye(3) + 1e-14 * (w + w.T)):
+        e = Ellipsoid(c * a)
+        for _ in range(5):
+            y = rng.normal(size=3)
+            q, cert = construct_vertex_eigen_S(e, e.B @ (y / np.linalg.norm(y)))
+            assert abs(cert.relative_gap) <= 1e-9
+            for key in ("uniform_lambda", "diagonal_equalization", "vertex", "inscribed"):
+                assert cert.equality_residuals[key] <= 1e-9, (key, cert.equality_residuals)
 
 
 # inputs k (seed k) of _general_points(n) that reach S_max; the others at

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from inscribed_extrema import (
     DimensionTooSmall,
     NotConverged,
+    OutOfRange,
     barycentric_basis,
     equalize_diagonal,
     equalize_diagonal_barycentric,
@@ -15,8 +16,11 @@ from inscribed_extrema.equalizer import (
     STEPS_PER_START,
     diag_residual,
     multistart,
+    ones_frame,
+    random_stabilizer,
     restricted_l_residual,
 )
+from orbit import grid_floor, psi as orbit_psi
 
 ONES_TOL = 1e-12
 
@@ -106,13 +110,18 @@ def test_barycentric_rejects_small_n():
 
 
 def test_barycentric_non_row_constant_runs_solver():
-    # constant row sums are the premise of the n = 3 orbit argument only:
-    # without them n = 3 runs the solver to its budget, and n = 4 converges
-    with pytest.raises(NotConverged, match="after 300 solver steps") as info:
-        equalize_diagonal_barycentric(np.diag([1.0, 2.0, 3.0]), max_iter=300)
+    # constant row sums are no premise of the n = 3 closed form: without them
+    # n = 3 still takes 0 steps and reports the orbit's least variance, and
+    # n = 4 runs the solver and converges
+    m = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(NotConverged, match="proven least diagonal variance") as info:
+        equalize_diagonal_barycentric(m, max_iter=300)
     rep = info.value.report
+    assert rep.iterations == 0
     assert np.max(np.abs(rep.V @ np.ones(3) - 1.0)) <= 1e-12
-    assert rep.final_variance < rep.variance_history[0]
+    assert rep.final_variance <= (1.0 + 1e-9) * grid_floor(m)
+    assert rep.variance_history == [rep.final_variance]
+    assert rep.final_variance < orbit_psi(m, np.eye(3))
     m = np.diag([1.0, 2.0, 3.0, 5.0])
     rep = equalize_diagonal_barycentric(m)
     assert rep.converged
@@ -140,6 +149,125 @@ def test_barycentric_known_infeasible_n3():
     # the report still carries a valid stabilizer element
     assert np.linalg.norm(rep.V @ np.ones(3) - np.ones(3)) < ONES_TOL
     assert np.linalg.norm(rep.V.T @ rep.V - np.eye(3)) < 1e-10
+
+
+def _n3_report(m, **kw):
+    """The n = 3 report, returned or carried by NotConverged."""
+    try:
+        return equalize_diagonal_barycentric(m, **kw)
+    except NotConverged as exc:
+        return exc.report
+
+
+def test_barycentric_n3_floor_is_the_orbit_minimum():
+    # 100 row-constant and 100 general inputs: the closed-form floor is the
+    # least psi on the orbit, at or below a 4,001-point sweep, and never
+    # above a Gauss-Newton run on the same stabilizer (the n >= 4 solver)
+    rng = np.random.default_rng(3003)
+    h = ones_frame(3)
+    for k in range(200):
+        m = random_row_constant(3, rng) if k % 2 else random_symmetric(3, rng)
+        t = np.trace(m) / 3.0
+        rep = _n3_report(m, seed=k)
+        assert rep.iterations == 0 and rep.restarts == 0
+        assert np.max(np.abs(rep.V @ np.ones(3) - 1.0)) <= ONES_TOL
+        assert abs(np.linalg.det(rep.V) - 1.0) <= ONES_TOL
+        assert np.linalg.norm(rep.V.T @ rep.V - np.eye(3)) <= ONES_TOL
+        assert rep.final_variance == pytest.approx(orbit_psi(m, rep.V), rel=1e-12, abs=1e-300)
+        assert rep.final_variance <= (1.0 + 1e-9) * grid_floor(m)
+        if k % 2:
+            solver = orbit_psi(m, np.eye(3))
+        else:
+            starts = [np.eye(3), random_stabilizer(h, rng)]
+            solver = multistart(starts, h[:, 1:], diag_residual(m, t, h[:, 1:]), 0.0,
+                                2 * STEPS_PER_START).final_variance
+        assert rep.final_variance <= (1.0 + 1e-9) * solver
+
+
+def test_barycentric_n3_feasible_inputs_converge_at_once():
+    # M = V0 W V0^T with diag W constant and V0 in the stabilizer: V = V0
+    # equalizes, and the closed form finds such a frame with 0 steps at
+    # every scale
+    rng = np.random.default_rng(3004)
+    h = ones_frame(3)
+    for k in range(100):
+        w = random_symmetric(3, rng)
+        np.fill_diagonal(w, rng.normal())
+        v0 = random_stabilizer(h, rng)
+        for s in (1.0, 1e-150, 1e150):
+            m = s * (v0 @ w @ v0.T)
+            rep = equalize_diagonal_barycentric(m, seed=k)
+            assert rep.converged and rep.iterations == 0
+            t = np.trace(m) / 3.0
+            dev = np.max(np.abs(np.diag(rep.V.T @ m @ rep.V) - t))
+            assert dev <= 1e-10 * np.max(np.abs(m - t * np.eye(3)))
+            assert s != 1.0 or dev <= 1e-9 * (1.0 + abs(t))
+            assert np.max(np.abs(rep.V @ np.ones(3) - 1.0)) <= ONES_TOL
+
+
+def test_barycentric_n3_keeps_the_identity():
+    # psi is flat (row-constant with a constant diagonal) or the identity is
+    # already under the threshold: the frame stays exactly the identity, where
+    # an angle read off roundoff would turn it. A row-constant infeasible M
+    # (shifted, so its row sums are constant only to eps max|M|) keeps it too,
+    # its floor the sweep's to within that rounding in ||diag - t||
+    rng = np.random.default_rng(3005)
+    for k in range(50):
+        w = random_symmetric(3, rng)
+        np.fill_diagonal(w, rng.normal())
+        flat = rng.normal() * np.eye(3) + rng.normal() * np.ones((3, 3))
+        nudged = w + 1e-12 * np.max(np.abs(w)) * np.diag(rng.normal(size=3))
+        sphere = 10.0 ** rng.uniform(-150, 150) * (np.eye(3) + 1e-15 * w)
+        for m in (w, flat, nudged, sphere):
+            rep = equalize_diagonal_barycentric(m, seed=k)
+            assert rep.converged and rep.iterations == 0
+            assert np.array_equal(rep.V, np.eye(3))
+    for k in range(100):
+        m = random_row_constant(3, rng) + rng.normal() * 10.0 ** rng.integers(0, 7) * np.eye(3)
+        with pytest.raises(NotConverged, match="proven least diagonal variance") as info:
+            equalize_diagonal_barycentric(m, seed=k)
+        rep = info.value.report
+        assert rep.iterations == 0
+        assert np.array_equal(rep.V, np.eye(3))
+        slack = 128 * np.finfo(float).eps * np.max(np.abs(m))
+        assert np.sqrt(rep.final_variance) <= np.sqrt(grid_floor(m)) + slack
+
+
+@pytest.mark.parametrize("k", [-150, -20, 20, 150])
+def test_barycentric_n3_is_free_of_shift_and_scale(k):
+    # 10^k (M + cI): the shift is in units of M, since 10^k M + cI with
+    # |c| >> 10^k max|M| would round M itself away. Frame and floor come from
+    # (M - tI) / max|M - tI|; the threshold (tol max|M|)^2 grows with c, but
+    # these general floors sit far above it at every c
+    rng = np.random.default_rng(3006)
+    for trial in range(20):
+        m = random_symmetric(3, rng)
+        ref = _n3_report(m, seed=trial)
+        ref_spread = np.max(np.abs(m - np.trace(m) / 3.0 * np.eye(3)))
+        for c in (0.0, 1e6 * rng.uniform(-1.0, 1.0), -1e6, 1e6):
+            mk = 10.0**k * (m + c * np.eye(3))
+            got = _n3_report(mk, seed=trial)
+            spread = np.max(np.abs(mk - np.trace(mk) / 3.0 * np.eye(3)))
+            assert got.converged == ref.converged
+            assert np.max(np.abs(got.V - ref.V)) <= 1e-9
+            assert abs(got.final_variance / spread**2 - ref.final_variance / ref_spread**2) <= 1e-8
+
+
+def test_barycentric_overflow_raises_out_of_range():
+    # the squared threshold and psi at the identity leave float64:
+    # a one-line OutOfRange, never an infinite threshold that accepts any frame
+    big = np.diag([1.0, 2.0, 3.0, 5.0]) * 1e200
+    wide = np.zeros((4, 4))
+    wide[0, 1] = wide[1, 0] = wide[2, 2] = 1e160
+    wide[3, 3] = -1e160
+    for m in (big, big[:3, :3], wide):
+        with pytest.raises(OutOfRange):
+            equalize_diagonal_barycentric(m)
+    # psi at the identity is finite here while (tol (1 + |t|))^2 is not; a
+    # numpy tolerance squares to inf with only a warning, which must not pass
+    near = 1e165 * np.eye(4) + 1e152 * np.diag([1.0, -1.0, 2.0, -2.0])
+    with pytest.raises(OutOfRange):
+        equalize_diagonal_barycentric(near, tol=np.float64(1e-9))
 
 
 @pytest.mark.parametrize("n", [4, 6, 7, 8])
