@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, valid_tolerance
 from .constructors import (
     construct_L_max,
     construct_S_max,
@@ -39,7 +39,7 @@ from .functionals import (
     edge_length_total_edges,
     facet_area_total_gram,
 )
-from .geometry import Ellipsoid, Parallelepiped, is_inscribed, orthotope_to_parallelepiped
+from .geometry import Ellipsoid, Parallelepiped, is_inscribed
 from .oracle import (
     explore_restricted_schur_horn,
     random_search_global,
@@ -208,10 +208,9 @@ def _cmd_construct(args):
             q, cert = construct_S_max(e)
     except NotConverged as exc:
         return _refused(exc, {"equalization": exc.report and exc.report.to_dict()})
-    p = orthotope_to_parallelepiped(e, q)
     return 0, {
         "orthotope": q.to_dict(),
-        "parallelepiped": p.to_dict(),
+        "parallelepiped": cert.parallelepiped.to_dict(),
         "certificate": cert.to_dict(),
     }, None
 
@@ -355,7 +354,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         for flag, key in TOLERANCE_FLAGS.items():
-            if not 0.0 <= getattr(args, key, 0.0) < math.inf:
+            if not valid_tolerance(getattr(args, key, 0.0)):
                 raise CliError(f"{flag} must be a finite number >= 0")
         code, result, error = args.run(args)
         _emit(args, result, error)

@@ -21,3 +21,9 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
+
+
+def valid_tolerance(value):
+    """Whether value can serve as a tolerance: a finite number >= 0. The library
+    and the CLI both ask this; a negative one would square to a loose threshold."""
+    return 0.0 <= value < float("inf")

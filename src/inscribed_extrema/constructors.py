@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equalizer, functionals, geometry, linalg
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, valid_tolerance
 from .errors import (
     DegenerateVertex,
     DimensionMismatch,
+    NonPositiveInput,
     NotConverged,
     NotOnBoundary,
     WrongDimension,
@@ -57,6 +58,7 @@ class ExtremalCertificate:
     bound: float
     relative_gap: float
     equality_residuals: dict
+    parallelepiped: geometry.Parallelepiped  # its residuals were computed on it; not in to_dict
 
     def to_dict(self):
         return {
@@ -103,7 +105,7 @@ def _make_certificate(e, q, functional, x0=None):
         achieved = functionals.facet_area_total_gram(p)
         factored = functionals.facet_area_total_factored(e, q)
         residuals["factored_vs_gram"] = abs(factored.value - achieved.value) / achieved.value
-    return ExtremalCertificate(achieved, bound, (bound - achieved.value) / bound, residuals)
+    return ExtremalCertificate(achieved, bound, (bound - achieved.value) / bound, residuals, p)
 
 
 def construct_L_max(e, u=None, seed=0):
@@ -128,13 +130,13 @@ def construct_L_max(e, u=None, seed=0):
 def construct_S_max(e):
     """Maximal total facet area: uniform lambda and an equal-diagonal frame.
 
-    The frame is the eigenframe of C composed with an unconstrained diagonal
-    equalizer run on the spectrum, so diag(U^T C U) = tr(C)/n * 1.
+    C = Q diag(1/w) Q^T in the ellipsoid's eigenbasis, so the frame is Q
+    composed with the pinning equalizer run on diag(1/w), and
+    diag(U^T C U) = tr(C)/n * 1. No second decomposition is taken.
     """
     n = e.n
-    w, qc = np.linalg.eigh(e.C)
-    rep = equalizer.equalize_diagonal(np.diag(w))
-    u = qc @ rep.V
+    rep = equalizer.equalize_diagonal(np.diag(1.0 / e.eigenvalues))
+    u = e.eigenvectors @ rep.V
     lam = np.full(n, 2.0 / math.sqrt(n))
     q = geometry.SphereOrthotope(u, lam)
     return q, _make_certificate(e, q, "facet_area")
@@ -187,6 +189,8 @@ def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     almost always, with a proven floor; sometimes at odd n or through
     general points), NotConverged propagates with the best frame.
     """
+    if not valid_tolerance(tol):
+        raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
     if e.n == 2:
         return construct_vertex_2d(e, x0, functional="facet_area")
     vc = VertexConstraint.from_point(e, x0)
@@ -209,6 +213,8 @@ def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     point tried so far was solved from the first start: numerical evidence,
     not a theorem.
     """
+    if not valid_tolerance(tol):
+        raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
     if e.n == 2:
         return construct_vertex_2d(e, x0, functional="edge_length")
     n = e.n

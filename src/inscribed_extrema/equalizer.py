@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOLERANCES
-from .errors import DimensionTooSmall, NotConverged, OutOfRange
+from .config import DEFAULT_TOLERANCES, valid_tolerance
+from .errors import DimensionTooSmall, NonPositiveInput, NotConverged, OutOfRange
 
 # Gauss-Newton needs a handful of steps near a regular root; a start that
 # has not converged in STEPS_PER_START is crawling and gives way to the next
@@ -52,15 +52,7 @@ class EqualizationReport:
     threshold: float = 0.0
 
     def to_dict(self):
-        return {
-            "V": self.V.tolist(),
-            "iterations": self.iterations,
-            "variance_history": list(self.variance_history),
-            "converged": self.converged,
-            "final_variance": self.final_variance,
-            "restarts": self.restarts,
-            "threshold": self.threshold,
-        }
+        return {**vars(self), "V": self.V.tolist(), "variance_history": list(self.variance_history)}
 
 
 def barycentric_basis(y0):
@@ -107,6 +99,8 @@ def equalize_diagonal(m, tol=DEFAULT_TOLERANCES.equalizer_tol):
     within tol max|M|, so the scale of M does not matter; the report's
     variances and threshold are in units of max|M| too.
     """
+    if not valid_tolerance(tol):
+        raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
     m = linalg.sym_matrix(m)
     n = m.shape[0]
     t = float(np.trace(m)) / n
@@ -305,6 +299,8 @@ def equalize_diagonal_barycentric(m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_i
     NotConverged carries the best report when psi stays above the threshold
     (at n = 3 a proven floor); OutOfRange means psi or the threshold leaves float64.
     """
+    if not valid_tolerance(tol):
+        raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
     m = linalg.sym_matrix(m)
     n = m.shape[0]
     if n <= 2:

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, valid_tolerance
 from .errors import (
     DegenerateParallelepiped,
     DimensionMismatch,
+    NonPositiveInput,
     NotInscribed,
     NotOrthotope,
 )
@@ -25,13 +26,13 @@ SIGMA_REL_FLOOR = 1e-12
 
 
 class Ellipsoid:
-    """SPD matrix A with cached square root B, inverse C and log det A (the
-    one determinant of A: det(10^k A) = 10^(nk) det A leaves float64 early)."""
+    """SPD matrix A with its eigenpairs, square root B, inverse C and log det A
+    (the one determinant of A: det(10^k A) = 10^(nk) det A leaves float64
+    early), all from linalg.spd_matrix's one eigendecomposition of A."""
 
     def __init__(self, a):
-        self.A = linalg.spd_matrix(a)
+        self.A, w, q = linalg.spd_matrix(a)
         self.n = self.A.shape[0]
-        w, q = np.linalg.eigh(self.A)
         self.eigenvalues = w
         self.eigenvectors = q
         self.log_det = float(np.sum(np.log(w)))
@@ -122,6 +123,8 @@ def is_inscribed(e, p, tol=DEFAULT_TOLERANCES.inscribed_tol):
     vertex. It rounds differently from an enumeration through C, so it can
     read a few ulps below the enumerated maximum (at most 2.3e-15 seen).
     """
+    if not valid_tolerance(tol):
+        raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
     if e.n != p.n:
         raise DimensionMismatch("ellipsoid and parallelepiped dimensions differ")
     w = e.Binv @ p.V

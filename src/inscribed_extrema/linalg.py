@@ -36,32 +36,26 @@ def sym_matrix(a):
 
 
 def spd_matrix(a):
-    """Symmetrize and verify positive definiteness.
+    """Symmetrize and decompose with one eigh: (A, w, Q), A = Q diag(w) Q^T.
 
     Raises OutOfRange when an eigenvalue leaves float64, and
     NotPositiveDefinite when the smallest eigenvalue is not above
     SPD_REL_TOL times the largest.
     """
     s = sym_matrix(a)
-    w = np.linalg.eigvalsh(s)
+    w, q = np.linalg.eigh(s)
     if not np.all(np.isfinite(w)):
         raise OutOfRange("matrix eigenvalues are not finite in float64")
     if w[-1] <= 0 or w[0] <= SPD_REL_TOL * w[-1]:
         raise NotPositiveDefinite(
             f"matrix is not positive definite (eigenvalues {w.min():.3e}..{w.max():.3e})"
         )
-    return s
-
-
-def orthogonality_defect(u):
-    u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    return float(np.max(np.abs(u.T @ u - np.eye(n))))
+    return s, w, q
 
 
 def require_orthogonal(u):
     u = as_square(u)
-    d = orthogonality_defect(u)
+    d = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
     if d > ORTHO_TOL:
         raise DimensionMismatch(f"U is not orthogonal (defect {d:.3e} > {ORTHO_TOL:.1e})")
     return u

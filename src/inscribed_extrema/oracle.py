@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equalizer, functionals, geometry, linalg
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, valid_tolerance
 from .constructors import DEGENERATE_TOL, VertexConstraint, vertex_lambdas
 from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput
 
@@ -40,16 +40,9 @@ class SearchReport:
     trace: list = field(default=None, repr=False)
 
     def to_dict(self):
-        return {
-            "trials": self.trials,
-            "best_value": self.best_value,
-            "bound": self.bound,
-            "best_gap": self.best_gap,
-            "best_config": None if self.best_config is None else self.best_config.to_dict(),
-            "violations": self.violations,
-            "degenerate_skips": self.degenerate_skips,
-            "best_trial": self.best_trial,
-        }
+        d = {**vars(self), "best_config": self.best_config and self.best_config.to_dict()}
+        del d["trace"]  # the per-trial values go to the CSV trace, not the JSON
+        return d
 
 
 @dataclass
@@ -60,12 +53,7 @@ class RshReport:
     restarts: int
 
     def to_dict(self):
-        return {
-            "residual": self.residual,
-            "U": self.U.tolist(),
-            "target": self.target,
-            "restarts": self.restarts,
-        }
+        return {**vars(self), "U": self.U.tolist()}
 
 
 def _stream(seed, t0, k):
@@ -120,13 +108,16 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
     rule(u, h) turns a chunk of frames (and its lambda Gaussians, None
     unless want_lambda) into edge lengths and a mask of usable frames;
     masked frames are skipped and counted. Returns the report without its
-    best configuration, plus the best trial's re-drawn frame and Gaussians.
+    best configuration, plus the best trial's re-drawn frame and the edge
+    lengths rule gives it, which are the ones its value was scored with.
     """
     trials = int(trials)
     if trials < 1:
         raise NonPositiveInput("trials must be >= 1")
     if seed < 0:
         raise NonPositiveInput("seed must be >= 0")
+    if not valid_tolerance(bound_slack):
+        raise NonPositiveInput(f"bound_slack must be a finite number >= 0, got {bound_slack!r}")
     bound = functionals.bound(e, functional)
     limit = bound * (1.0 + bound_slack)
     best_value = -np.inf
@@ -149,6 +140,7 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
         if keep_trace:
             trace.extend(vals.tolist())
     u, h = _frames(e.n, seed, best_trial, want_lambda)(1)
+    lam = rule(u, h)[0]
     report = SearchReport(
         trials=trials,
         best_value=best_value,
@@ -160,23 +152,21 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
         best_trial=best_trial,
         trace=trace,
     )
-    return report, u[..., 0], None if h is None else h[:, 0]
+    return report, u[..., 0], lam[:, 0]
 
 
 def random_search_global(
     e, functional, trials, seed, bound_slack=DEFAULT_TOLERANCES.bound_slack, keep_trace=False
 ):
-    """Sample Haar frames with folded-Gaussian edge lengths; certify the bound."""
+    """Sample Haar frames with folded-Gaussian edge lengths; certify the bound.
+    best_config carries the edge lengths best_value was computed from."""
 
     def rule(u, h):
         habs = np.abs(h)
         return 2.0 * habs / np.sqrt(linalg.lane_sum(habs * habs)), np.ones(h.shape[1], dtype=bool)
 
-    report, u, h = _search(e, functional, trials, seed, bound_slack, keep_trace, True, rule)
-    # the 1-D norm, not the chunk's per-trial norm: the two can differ in the
-    # last bit, and the reported configuration has always used this one
-    habs = np.abs(h)
-    report.best_config = geometry.SphereOrthotope(u, 2.0 * habs / np.linalg.norm(habs))
+    report, u, lam = _search(e, functional, trials, seed, bound_slack, keep_trace, True, rule)
+    report.best_config = geometry.SphereOrthotope(u, lam)
     return report
 
 
@@ -188,7 +178,8 @@ def random_search_vertex(
 
     Frames whose z = U^T y0 has a near-zero entry cannot carry a
     nondegenerate parallelepiped through the vertex; those draws are skipped
-    and counted, not replaced.
+    and counted, not replaced. best_config carries the edge lengths
+    best_value was computed from; vertex_lambdas only sets its column signs.
     """
     vc = VertexConstraint.from_point(e, x0)
 
@@ -199,8 +190,8 @@ def random_search_vertex(
         lam[:, ~ok] = 1.0  # placeholder, masked out by the loop
         return lam, ok
 
-    report, u, _ = _search(e, functional, trials, seed, bound_slack, keep_trace, False, rule)
-    report.best_config = geometry.SphereOrthotope(*vertex_lambdas(u, vc.y0))
+    report, u, lam = _search(e, functional, trials, seed, bound_slack, keep_trace, False, rule)
+    report.best_config = geometry.SphereOrthotope(vertex_lambdas(u, vc.y0)[0], lam)
     return report
 
 
@@ -222,18 +213,18 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
         raise DimensionTooSmall("the explorer needs n >= 2")
     if restarts < 0:
         raise NonPositiveInput("restarts must be >= 0")
-    a = linalg.spd_matrix(a)
+    e = geometry.Ellipsoid(a)
     y0 = linalg.unit_vector(y0)
     if y0.size != n:
         raise DimensionMismatch("y0 dimension does not match the matrix")
     if target == "edge_length":
         u0 = q = np.eye(n)
-        scale = float(np.trace(a))
-        residual = equalizer.restricted_l_residual(a / scale, y0)
+        scale = float(np.trace(e.A))
+        residual = equalizer.restricted_l_residual(e.A / scale, y0)
         draw = functools.partial(linalg.random_orthogonal, n)
     elif target == "facet_area":
         u0 = equalizer.barycentric_basis(y0)
-        m = linalg.sym_matrix(u0.T @ geometry.Ellipsoid(a).C @ u0)
+        m = linalg.sym_matrix(u0.T @ e.C @ u0)
         scale = float(np.trace(m))
         m = m / scale
         h = equalizer.ones_frame(n)

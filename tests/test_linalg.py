@@ -46,7 +46,10 @@ def test_spd_matrix_rejects_singular():
 def test_spd_matrix_keeps_entries_near_the_float64_limit():
     # A + A^T overflows here; A/2 + A^T/2 does not
     d = np.diag([1e308, 1e308])
-    assert np.array_equal(linalg.spd_matrix(d), d)
+    a, w, q = linalg.spd_matrix(d)
+    assert np.array_equal(a, d)
+    assert np.array_equal(w, [1e308, 1e308])
+    assert np.array_equal(q, np.eye(2))
     assert Ellipsoid(d).log_det == pytest.approx(2.0 * math.log(1e308), rel=1e-15)
 
 

@@ -26,6 +26,7 @@ from inscribed_extrema import (
 )
 from inscribed_extrema import oracle
 from inscribed_extrema.equalizer import barycentric_basis, diag_residual
+from inscribed_extrema.functionals import evaluate
 
 N3_ORBIT_FLOOR = 0.30618621784789724  # sqrt(2/3) * (3/8), the invariant-orbit residual below
 
@@ -100,6 +101,24 @@ def test_search_is_bit_identical_at_every_chunk_size(monkeypatch, n):
             seen.append((rep.trace, rep.best_trial, rep.best_config.U.tobytes(),
                          rep.best_config.lam.tobytes()))
         assert all(s == seen[0] for s in seen[1:]), (search, functional)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+def test_search_reports_the_edge_lengths_it_scored(monkeypatch, chunk):
+    # best_config carries the lambda its trial was scored with, so evaluating
+    # it gives best_value to the bit, in both searches and both functionals
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
+    for n in range(2, 9):
+        rng = np.random.default_rng(60 + n)
+        e = Ellipsoid(random_spd(n, rng))
+        y = rng.normal(size=n)
+        x0 = e.B @ (y / np.linalg.norm(y))
+        for functional in VALUE_OF:
+            for rep in (random_search_global(e, functional, 400, seed=n),
+                        random_search_vertex(e, x0, functional, 400, seed=n)):
+                cfg = rep.best_config
+                value = float(evaluate(e, cfg.U, cfg.lam, functional))
+                assert value == rep.best_value, (n, functional, rep.best_trial)
 
 
 # SHA-256 of the float64 bytes of _normals(seed, t0, t1, k), trial-major:

@@ -1,13 +1,30 @@
 """Tolerances: a public function takes a tolerance keyword only where a CLI
 flag or a caller in the package sets it, and it defaults to the
 DEFAULT_TOLERANCES field of the same meaning. Fixed tolerances are module
-constants."""
+constants. Every such function refuses a negative, NaN or infinite value."""
 
 import ast
+import math
 from dataclasses import fields
 from pathlib import Path
 
-from inscribed_extrema import cli
+import numpy as np
+import pytest
+
+from inscribed_extrema import (
+    Ellipsoid,
+    NonPositiveInput,
+    Parallelepiped,
+    cli,
+    construct_through_vertex,
+    construct_vertex_eigen_L,
+    construct_vertex_eigen_S,
+    equalize_diagonal,
+    equalize_diagonal_barycentric,
+    is_inscribed,
+    random_search_global,
+    random_search_vertex,
+)
 from inscribed_extrema.config import ToleranceConfig
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "inscribed_extrema"
@@ -80,3 +97,38 @@ def test_tolerance_defaults_are_config_fields():
 
     params = _tolerance_parameters()
     assert [f"{name}({arg})" for name, arg, d in params if not from_config(d)] == []
+
+
+def _entry_points():
+    """One call per public function that takes a tolerance, with that tolerance v;
+    the facet vertex route is called at n = 2 too, where it applies no tolerance."""
+    m = np.diag([1.0, 4.0, 9.0, 16.0])
+    e, e2 = Ellipsoid(m), Ellipsoid(np.diag([1.0, 4.0]))
+    x0, x2 = e.B @ np.full(4, 0.5), e2.B @ np.array([0.6, 0.8])
+    return {
+        "is_inscribed": lambda v: is_inscribed(e, Parallelepiped(np.eye(4)), tol=v),
+        "equalize_diagonal": lambda v: equalize_diagonal(m, tol=v),
+        "equalize_diagonal_barycentric": lambda v: equalize_diagonal_barycentric(m, tol=v),
+        "construct_vertex_eigen_S": lambda v: construct_vertex_eigen_S(e, x0, tol=v),
+        "construct_vertex_eigen_S n=2": lambda v: construct_vertex_eigen_S(e2, x2, tol=v),
+        "construct_vertex_eigen_L": lambda v: construct_vertex_eigen_L(e, x0, tol=v),
+        "construct_through_vertex": lambda v: construct_through_vertex(e, x0, "edge_length", tol=v),
+        "random_search_global": lambda v: random_search_global(e, "facet_area", 10, 0,
+                                                               bound_slack=v),
+        "random_search_vertex": lambda v: random_search_vertex(e, x0, "facet_area", 10, 0,
+                                                               bound_slack=v),
+    }
+
+
+def test_every_tolerance_taking_function_is_checked_below():
+    covered = {name.split()[0] for name in _entry_points()}
+    assert covered == {name for name, _, _ in _tolerance_parameters()}
+
+
+@pytest.mark.parametrize("value", [-0.5, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(_entry_points()))
+def test_library_refuses_bad_tolerance(entry, value):
+    # before the check, a negative tol squared into a loose positive threshold:
+    # the barycentric equalizer reported diag(1, 4, 9, 16) converged
+    with pytest.raises(NonPositiveInput, match="must be a finite number >= 0"):
+        _entry_points()[entry](value)
