@@ -71,7 +71,6 @@ from .oracle import (
     explore_restricted_schur_horn,
     random_search_global,
     random_search_vertex,
-    stationarity_check,
 )
 
 __version__ = "0.1.0"

@@ -63,27 +63,25 @@ class CliError(Exception):
     pass
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _read_json(path):
+def _read_json(args, name):
+    """Parse the input file args.<name>, read once; its SHA-256 goes to the manifest."""
+    path = getattr(args, name)
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    args.input_sha256[name] = hashlib.sha256(raw).hexdigest()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise CliError(f"cannot parse {path}: {exc}")
 
 
-def _load_array(path, key, layout):
-    """(n, doc[key]) from a {"n": int, key: layout} file; entries must be finite."""
-    doc = _read_json(path)
+def _load_array(args, name, key, layout):
+    """(n, doc[key]) from the {"n": int, key: layout} file args.<name>; entries must be finite."""
+    path = getattr(args, name)
+    doc = _read_json(args, name)
     try:
         n = int(doc["n"])
         a = np.asarray(doc[key], dtype=float)
@@ -94,34 +92,34 @@ def _load_array(path, key, layout):
     return n, a
 
 
-def _load_matrix(path):
-    n, a = _load_array(path, "data", "[[...]]")
+def _load_matrix(args):
+    n, a = _load_array(args, "matrix", "data", "[[...]]")
     if a.shape != (n, n):
-        raise CliError(f"{path}: data shape {a.shape} does not match n={n}")
+        raise CliError(f"{args.matrix}: data shape {a.shape} does not match n={n}")
     if float(np.max(np.abs(a - a.T))) > SYMMETRY_REL_TOL * float(np.max(np.abs(a))):
-        raise CliError(f"{path}: not symmetric")
+        raise CliError(f"{args.matrix}: not symmetric")
     return a
 
 
-def _load_vector(path):
-    n, v = _load_array(path, "data", "[...]")
+def _load_vector(args):
+    n, v = _load_array(args, "vertex", "data", "[...]")
     v = v.ravel()
     if v.size != n:
-        raise CliError(f"{path}: vector length {v.size} does not match n={n}")
+        raise CliError(f"{args.vertex}: vector length {v.size} does not match n={n}")
     return v
 
 
-def _load_parallelepiped(path):
-    n, v = _load_array(path, "edges", "[[...]]")
+def _load_parallelepiped(args):
+    n, v = _load_array(args, "parallelepiped", "edges", "[[...]]")
     return Parallelepiped.from_dict({"n": n, "edges": v})
 
 
 def _manifest(args):
-    paths = {name: getattr(args, name, None) for name in ("matrix", "vertex", "parallelepiped")}
     return {
         "command": args.command,
         "inputs": {
-            name: {"path": path, "sha256": _sha256(path)} for name, path in paths.items() if path
+            name: {"path": getattr(args, name), "sha256": args.input_sha256[name]}
+            for name in ("matrix", "vertex", "parallelepiped") if name in args.input_sha256
         },
         "seed": getattr(args, "seed", None),
         "tolerances": {
@@ -179,7 +177,7 @@ def _refused(exc, result):
 
 
 def _cmd_bounds(args):
-    e = Ellipsoid(_load_matrix(args.matrix))
+    e = Ellipsoid(_load_matrix(args))
     return 0, {
         "n": e.n,
         "L_max": bound_L_max(e),
@@ -194,11 +192,11 @@ def _cmd_bounds(args):
 
 def _cmd_construct(args):
     seed = _seed(args)
-    e = Ellipsoid(_load_matrix(args.matrix))
+    e = Ellipsoid(_load_matrix(args))
     functional = FUNCTIONAL_NAMES[args.functional]
     try:
         if args.vertex:
-            x0 = _load_vector(args.vertex)
+            x0 = _load_vector(args)
             q, cert = construct_through_vertex(
                 e, x0, functional=functional, tol=args.equalizer_tol, seed=seed
             )
@@ -216,8 +214,8 @@ def _cmd_construct(args):
 
 
 def _cmd_verify(args):
-    e = Ellipsoid(_load_matrix(args.matrix))
-    p = _load_parallelepiped(args.parallelepiped)
+    e = Ellipsoid(_load_matrix(args))
+    p = _load_parallelepiped(args)
     rep = is_inscribed(e, p, tol=args.inscribed_tol)
     edge_total = edge_length_total_edges(p).value
     facet_total = facet_area_total_gram(p).value
@@ -239,12 +237,12 @@ def _cmd_search(args):
     seed = _seed(args)
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
-    e = Ellipsoid(_load_matrix(args.matrix))
+    e = Ellipsoid(_load_matrix(args))
     functional = FUNCTIONAL_NAMES[args.functional]
     keep_trace = args.csv_trace is not None
     if args.vertex:
         report = random_search_vertex(
-            e, _load_vector(args.vertex), functional, args.trials, seed,
+            e, _load_vector(args), functional, args.trials, seed,
             bound_slack=args.bound_slack, keep_trace=keep_trace,
         )
     else:
@@ -261,7 +259,7 @@ def _cmd_search(args):
 
 def _cmd_equalize(args):
     seed = _seed(args)
-    a = _load_matrix(args.matrix)
+    a = _load_matrix(args)
     if not args.barycentric:
         return 0, equalize_diagonal(a, tol=args.equalizer_tol).to_dict(), None
     try:
@@ -275,8 +273,8 @@ def _cmd_equalize(args):
 
 def _cmd_explore_rsh(args):
     seed = _seed(args)
-    a = _load_matrix(args.matrix)
-    y0 = _load_vector(args.vertex)
+    a = _load_matrix(args)
+    y0 = _load_vector(args)
     report = explore_restricted_schur_horn(
         a, y0, FUNCTIONAL_NAMES[args.functional], restarts=args.restarts, seed=seed
     )
@@ -352,6 +350,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.input_sha256 = {}  # filled by _read_json, one digest per input file read
     try:
         for flag, key in TOLERANCE_FLAGS.items():
             if not valid_tolerance(getattr(args, key, 0.0)):

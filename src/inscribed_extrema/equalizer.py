@@ -309,6 +309,8 @@ def equalize_diagonal_barycentric(m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_i
             "ones vector is trivial on 2x2 diagonals"
         )
     max_iter = 500 * n * n if max_iter is None else max_iter
+    if max_iter < 0:
+        raise NonPositiveInput(f"max_iter must be >= 0, got {max_iter!r}")
     t, h, eye = float(np.trace(m)) / n, ones_frame(n), np.eye(n)
     q, base, starts = h[:, 1:], eye, ()
     scale = float(np.max(np.abs(m))) if n == 3 else 1.0 + abs(t)

@@ -1,6 +1,6 @@
-"""Stochastic verification against the closed-form bounds, a numerical
+"""Stochastic verification against the closed-form bounds, and a numerical
 explorer for the restricted diagonal-prescription problem (the equalizer's
-multistart loop), and a first-order stationarity diagnostic.
+multistart loop).
 
 Each search trial owns a fixed block of a counter-based Philox stream keyed
 by the seed (Salmon, Moraes, Dror & Shaw, SC'11), turned into normals by
@@ -24,7 +24,6 @@ from .constructors import DEGENERATE_TOL, VertexConstraint, vertex_lambdas
 from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput
 
 CHUNK = 1024
-STATIONARITY_STEP = 1e-5  # central-difference step of stationarity_check
 
 
 @dataclass
@@ -67,15 +66,18 @@ def _normals(bitgen, trials, k):
     """k standard normals (k even) for each of bitgen's next trials, (k, trials).
 
     A trial's first k raw words w become the uniforms ((w >> 12) + 1/2)
-    2^-52, exact and strictly inside (0, 1). Box-Muller pairs word i
-    (radius) with word i + k/2 (angle), so every trial costs the same fixed
-    number of words.
+    2^-52, strictly inside (0, 1): under the exponent bits of 1.0, w >> 12
+    is the float 1 + (w >> 12) 2^-52, and subtracting 1 - 2^-53 from it is
+    exact (Sterbenz's lemma).
+    Box-Muller pairs word i (radius) with word i + k/2 (angle), so every
+    trial costs the same fixed number of words.
     """
     block = -(-k // 4)
     raw = bitgen.random_raw(trials * block * 4).reshape(trials, block * 4)
     w = np.right_shift(raw[:, :k].T, 12, out=np.empty((k, trials), np.uint64))
-    g = np.add(w, 0.5)
-    g *= 2.0**-52
+    w |= 0x3FF0000000000000  # the exponent of 1.0
+    g = w.view(np.float64)
+    g -= 1.0 - 2.0**-53
     r, theta = g[: k // 2], g[k // 2 :]
     np.log(r, out=r)
     r *= -2.0
@@ -88,11 +90,11 @@ def _normals(bitgen, trials, k):
     return g
 
 
-def _frames(n, seed, t0, want_lambda):
-    """draw(trials) returns the next Haar frames (n, n, trials), from trial t0 on,
-    and their lambda Gaussians (n, trials), None unless want_lambda."""
+def _frames(n, seed, want_lambda):
+    """draw(trials) returns a search's next Haar frames (n, n, trials), from trial 0
+    on, and their lambda Gaussians (n, trials), None unless want_lambda."""
     k = n * (n + 1) if want_lambda else n * n + n % 2
-    bitgen = _stream(seed, t0, k)
+    bitgen = _stream(seed, 0, k)
 
     def draw(trials):
         g = _normals(bitgen, trials, k)
@@ -102,14 +104,14 @@ def _frames(n, seed, t0, want_lambda):
     return draw
 
 
-def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, rule):
+def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, rule, config):
     """The chunked search loop behind both public searches.
 
     rule(u, h) turns a chunk of frames (and its lambda Gaussians, None
     unless want_lambda) into edge lengths and a mask of usable frames;
-    masked frames are skipped and counted. Returns the report without its
-    best configuration, plus the best trial's re-drawn frame and the edge
-    lengths rule gives it, which are the ones its value was scored with.
+    masked frames are skipped and counted. The best trial's frame and edge
+    lengths are kept from the chunk that scored them, and config(u, lam)
+    makes them the report's best_config (None if every trial was skipped).
     """
     trials = int(trials)
     if trials < 1:
@@ -122,10 +124,11 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
     limit = bound * (1.0 + bound_slack)
     best_value = -np.inf
     best_trial = -1
+    best_u = best_lam = None
     violations = 0
     skips = 0
     trace = [] if keep_trace else None
-    draw = _frames(e.n, seed, 0, want_lambda)
+    draw = _frames(e.n, seed, want_lambda)
     for t0 in range(0, trials, CHUNK):
         u, h = draw(min(trials, t0 + CHUNK) - t0)
         lam, ok = rule(u, h)
@@ -137,22 +140,20 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
         if vals[k] > best_value:
             best_value = float(vals[k])
             best_trial = t0 + k
+            best_u, best_lam = u[..., k].copy(), lam[:, k].copy()
         if keep_trace:
             trace.extend(vals.tolist())
-    u, h = _frames(e.n, seed, best_trial, want_lambda)(1)
-    lam = rule(u, h)[0]
-    report = SearchReport(
+    return SearchReport(
         trials=trials,
         best_value=best_value,
         bound=bound,
         best_gap=(bound - best_value) / bound,
-        best_config=None,
+        best_config=None if best_u is None else config(best_u, best_lam),
         violations=violations,
         degenerate_skips=skips,
         best_trial=best_trial,
         trace=trace,
     )
-    return report, u[..., 0], lam[:, 0]
 
 
 def random_search_global(
@@ -165,9 +166,9 @@ def random_search_global(
         habs = np.abs(h)
         return 2.0 * habs / np.sqrt(linalg.lane_sum(habs * habs)), np.ones(h.shape[1], dtype=bool)
 
-    report, u, lam = _search(e, functional, trials, seed, bound_slack, keep_trace, True, rule)
-    report.best_config = geometry.SphereOrthotope(u, lam)
-    return report
+    return _search(
+        e, functional, trials, seed, bound_slack, keep_trace, True, rule, geometry.SphereOrthotope
+    )
 
 
 def random_search_vertex(
@@ -190,9 +191,10 @@ def random_search_vertex(
         lam[:, ~ok] = 1.0  # placeholder, masked out by the loop
         return lam, ok
 
-    report, u, lam = _search(e, functional, trials, seed, bound_slack, keep_trace, False, rule)
-    report.best_config = geometry.SphereOrthotope(vertex_lambdas(u, vc.y0)[0], lam)
-    return report
+    def config(u, lam):
+        return geometry.SphereOrthotope(vertex_lambdas(u, vc.y0)[0], lam)
+
+    return _search(e, functional, trials, seed, bound_slack, keep_trace, False, rule, config)
 
 
 def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
@@ -241,37 +243,3 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
         residual=math.sqrt(rep.final_variance) * scale, U=u0 @ rep.V, target=target,
         restarts=restarts,
     )
-
-
-def stationarity_check(e, q, functional):
-    """Max |directional central difference| along the constraint manifold.
-
-    Directions: every coordinate-plane frame rotation (lambda fixed), and a
-    tangent basis of the sphere sum(lambda^2) = 4 (frame fixed, perturbed
-    lambda retracted back to the sphere).
-    """
-    u0 = q.U
-    lam0 = q.lam
-    n = e.n
-    h = STATIONARITY_STEP
-
-    def value(u, lam):
-        return float(functionals.evaluate(e, u, lam, functional))
-
-    worst = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            up = value(u0 @ linalg.givens(n, i, j, h), lam0)
-            um = value(u0 @ linalg.givens(n, i, j, -h), lam0)
-            worst = max(worst, abs(up - um) / (2.0 * h))
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    w = linalg.householder_to(e1, lam0 / np.linalg.norm(lam0))
-    for k in range(1, n):
-        tangent = w[:, k]
-        lp = lam0 + h * tangent
-        lp = 2.0 * lp / np.linalg.norm(lp)
-        lm = lam0 - h * tangent
-        lm = 2.0 * lm / np.linalg.norm(lm)
-        worst = max(worst, abs(value(u0, lp) - value(u0, lm)) / (2.0 * h))
-    return worst

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -118,11 +119,55 @@ def test_asymmetric_matrix_rejected(tmp_path, capsys, k):
 
 
 def test_unreadable_json_rejected(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, err = run_cli(capsys, ["bounds", "--matrix", str(path)])
-    assert code == 1
-    assert "cannot parse" in err
+    # malformed JSON, bytes that are not UTF-8 and nesting too deep for the parser
+    # are all refused, whichever file holds them
+    m = write_matrix(tmp_path, "a.json", [[1.0, 0.0], [0.0, 2.0]])
+    bad = str(tmp_path / "broken.json")
+    for content in (b"{not json", b'{"n": 2, "data": \xff}', b"[" * 100000 + b"]" * 100000):
+        with open(bad, "wb") as fh:
+            fh.write(content)
+        for argv in (["bounds", "--matrix", bad],
+                     ["construct", "--matrix", m, "--functional", "edge", "--vertex", bad],
+                     ["verify", "--matrix", m, "--parallelepiped", bad]):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (1, ""), (content, argv)
+            assert err.startswith(f"error: cannot parse {bad}: "), err
+
+
+def test_each_input_file_is_opened_once(tmp_path, capsys, monkeypatch):
+    # the manifest hashes the bytes that were parsed, not a second read of the file
+    m = write_matrix(tmp_path, "a.json", [[1.0, 0.0], [0.0, 2.0]])
+    v = write_vector(tmp_path, "v.json", [1.0, 0.0])
+    code, out, _ = run_cli(capsys, ["construct", "--matrix", m, "--functional", "edge",
+                                    "--seed", "0"])
+    assert code == 0
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(json.loads(out)["result"]["parallelepiped"]))
+    p = str(p)
+    digest = {path: hashlib.sha256(open(path, "rb").read()).hexdigest() for path in (m, v, p)}
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    for argv, inputs in (
+        (["bounds", "--matrix", m], {"matrix": m}),
+        (["search", "--matrix", m, "--functional", "facet", "--trials", "5", "--seed", "1",
+          "--vertex", v], {"matrix": m, "vertex": v}),
+        (["verify", "--matrix", m, "--parallelepiped", p], {"matrix": m, "parallelepiped": p}),
+        (["explore-rsh", "--matrix", m, "--vertex", v, "--functional", "edge",
+          "--restarts", "1"], {"matrix": m, "vertex": v}),
+    ):
+        opened.clear()
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        assert [opened.count(path) for path in inputs.values()] == [1] * len(inputs), argv
+        assert json.loads(out)["manifest"]["inputs"] == {
+            name: {"path": path, "sha256": digest[path]} for name, path in inputs.items()
+        }
 
 
 def test_vector_length_mismatch_rejected(tmp_path, capsys):
@@ -194,6 +239,17 @@ def test_equalize_barycentric_n2_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["equalize", "--matrix", m, "--barycentric", "--seed", "0"])
     assert code == 1
     assert "requires n >= 3" in err
+
+
+def test_equalize_barycentric_negative_max_iter_exits_1(tmp_path, capsys):
+    # a negative step budget is bad input, not a solver that ran out of steps
+    m = write_matrix(tmp_path, "a.json", np.diag([1.0, 2.0, 3.0, 4.0]).tolist())
+    argv = ["equalize", "--matrix", m, "--barycentric", "--seed", "1", "--max-iter"]
+    assert run_cli(capsys, argv + ["-5"]) == (1, "", "error: max_iter must be >= 0, got -5\n")
+    # a zero budget stays allowed: the identity is reported after no step
+    code, out, _ = run_cli(capsys, argv + ["0"])
+    assert code == 2
+    assert json.loads(out)["result"]["iterations"] == 0
 
 
 def test_equalize_barycentric_impossible_case(tmp_path, capsys):

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from inscribed_extrema import (
     DimensionTooSmall,
+    NonPositiveInput,
     NotConverged,
     OutOfRange,
     barycentric_basis,
@@ -313,6 +314,20 @@ def test_barycentric_respects_max_iter():
         assert rep.iterations <= 30
     except NotConverged as exc:
         assert exc.report.iterations <= 30
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_barycentric_refuses_negative_max_iter(n):
+    m = random_symmetric(n, np.random.default_rng(62))
+    with pytest.raises(NonPositiveInput, match="max_iter"):
+        equalize_diagonal_barycentric(m, seed=1, max_iter=-5)
+
+
+def test_barycentric_zero_max_iter_takes_no_step():
+    m = random_symmetric(4, np.random.default_rng(61))
+    with pytest.raises(NotConverged) as exc:
+        equalize_diagonal_barycentric(m, seed=1, max_iter=0)
+    assert exc.value.report.iterations == 0
 
 
 # Restricted spectrum (-0.8806, -0.8797, 4.0727): the two close eigenvalues
