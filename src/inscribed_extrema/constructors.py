@@ -1,15 +1,13 @@
 """Extremal inscribed parallelepipeds.
 
 Global maximizers for both functionals, and vertex-constrained maximizers
-through any boundary point: for n=2 the exact root of one trigonometric
-equation, for the edge length the free-z residual
-equalizer.restricted_l_residual, and for the facet area the barycentric
-equalizer on U0^T C U0. The two n >= 3 cases solve their diagonal
-conditions with equalizer.multistart; where no frame meets the condition,
-NotConverged carries the best one found.
+through any boundary point: for the edge length (and for both functionals
+at n = 2, where S = L) one pass of the pinning equalizer on
+A / tr A - y0 y0^T, and for the facet area at n >= 3 the barycentric
+equalizer on U0^T C U0, which raises NotConverged with the best frame where
+no frame meets its condition.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,15 +19,12 @@ from .errors import (
     DegenerateVertex,
     DimensionMismatch,
     NonPositiveInput,
-    NotConverged,
     NotOnBoundary,
     WrongDimension,
 )
 
 BOUNDARY_TOL = 1e-10
 DEGENERATE_TOL = 1e-12  # smallest |z_i| = |u_i . y0| that still gives a nondegenerate edge
-# free-z starts the edge-length vertex construction tries before giving up
-EDGE_STARTS = 60
 
 
 @dataclass(frozen=True)
@@ -156,26 +151,23 @@ def vertex_lambdas(u, y0):
     return u_fixed, 2.0 * np.abs(z)
 
 
-def construct_vertex_2d(e, x0, functional="edge_length"):
-    """Maximal-perimeter parallelogram through a prescribed boundary point.
+def _pinned_vertex(e, x0, functional, tol):
+    """The edge-bound maximizer through x0, certified for functional (the
+    two coincide at n = 2, where S = L)."""
+    vc = VertexConstraint.from_point(e, x0)
+    n_mat = e.A / np.trace(e.A) - np.outer(vc.y0, vc.y0)
+    v = equalizer.equalize_diagonal(n_mat, tol=tol).V
+    q = geometry.SphereOrthotope(*vertex_lambdas(v, vc.y0))
+    return q, _make_certificate(e, q, functional, vc.x0)
 
-    With u1 = (cos theta, sin theta), the equality condition g11 = tr(A) z1^2
-    reads alpha cos 2theta + beta sin 2theta = 0 (alpha = beta = 0 would make
-    A singular). Its roots repeat every quarter turn; the one in [b, b + pi/2),
-    b = atan2(y2, y1) + pi/4, is taken. There z_i^2 = g_ii / tr A > 0, so no
-    edge vanishes, and the perimeter reaches 4 sqrt(tr A) with the vertex at x0.
-    """
+
+def construct_vertex_2d(e, x0, functional="edge_length"):
+    """Maximal-perimeter parallelogram through a prescribed boundary point:
+    construct_vertex_eigen_L's route, one rotation here, certified for
+    functional (S = L in the plane)."""
     if e.n != 2:
         raise WrongDimension("this construction is planar")
-    vc = VertexConstraint.from_point(e, x0)
-    (y1, y2), a = vc.y0, e.A
-    tr_a = float(np.trace(a))
-    alpha = 0.5 * (a[0, 0] - a[1, 1]) - 0.5 * tr_a * (y1 * y1 - y2 * y2)
-    beta = a[0, 1] - tr_a * y1 * y2
-    base = math.atan2(y2, y1) + 0.25 * math.pi
-    theta = base + (0.5 * math.atan2(beta, alpha) + 0.25 * math.pi - base) % (0.5 * math.pi)
-    q = geometry.SphereOrthotope(*vertex_lambdas(linalg.givens(2, 0, 1, theta), vc.y0))
-    return q, _make_certificate(e, q, functional, vc.x0)
+    return _pinned_vertex(e, x0, functional, DEFAULT_TOLERANCES.equalizer_tol)
 
 
 def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
@@ -200,44 +192,24 @@ def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     return q, _make_certificate(e, q, "facet_area", vc.x0)
 
 
-def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0):
-    """Edge-length maximizer through any boundary point (the name predates
-    the general case: x0 need not be an eigenvector).
+def construct_vertex_eigen_L(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol):
+    """Edge-length maximizer through any boundary point, at every n >= 1 (the
+    name predates the general case: x0 need not be an eigenvector).
 
     2^n sqrt(tr A) is attained through x0 exactly when the Cauchy-Schwarz
-    equality condition diag(U^T A U) = tr(A) z*z holds, z = U^T y0 free.
-    equalizer.multistart solves it on A / tr A (scale-free) from the
-    barycentric basis of y0, then from seeded Haar frames, and accepts
-    ||r|| <= tol tr(A) with every |z_i| >= 1e-6; otherwise NotConverged
-    carries the best report. Every
-    point tried so far was solved from the first start: numerical evidence,
-    not a theorem.
+    equality condition diag(U^T A U) = tr(A) z*z holds, z = U^T y0. As
+    |y0| = 1, that is diag(U^T N U) = 0 for N = A / tr A - y0 y0^T, and
+    tr N = 0: a zero diagonal is majorized by every spectrum of trace 0, so
+    the pinning equalizer reaches it with at most n - 1 Givens rotations
+    (Horn, Amer. J. Math. 76, 1954; Chan & Li, J. Math. Anal. Appl. 91,
+    1983). No edge vanishes: on that frame z_i^2 = u_i^T A u_i / tr A
+    >= w_min / tr A > linalg.SPD_REL_TOL / n, far above DEGENERATE_TOL^2. So
+    this route never raises NotConverged or DegenerateVertex. tol is the
+    pinning's stopping rule, relative to max|N|, and the pinning refuses a
+    bad one; its converged flag is not consulted, since the certificate's
+    cauchy_schwarz carries the residual, rounding included.
     """
-    if not valid_tolerance(tol):
-        raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
-    if e.n == 2:
-        return construct_vertex_2d(e, x0, functional="edge_length")
-    n = e.n
-    vc = VertexConstraint.from_point(e, x0)
-    starts = itertools.chain(
-        [equalizer.barycentric_basis(vc.y0)],
-        (linalg.random_orthogonal(n, np.random.default_rng((seed, s)))
-         for s in range(EDGE_STARTS - 1)),
-    )
-    rep = equalizer.multistart(
-        starts, np.eye(n), equalizer.restricted_l_residual(e.A / np.trace(e.A), vc.y0), tol**2,
-        EDGE_STARTS * equalizer.STEPS_PER_START,
-        accept=lambda u: float(np.min(np.abs(u.T @ vc.y0))) >= 1e-6,
-    )
-    if not rep.converged:
-        raise NotConverged(
-            "restricted diagonal condition not solved after "
-            f"{rep.restarts + 1} starts (best residual "
-            f"{math.sqrt(rep.final_variance):.3e} tr A)",
-            report=rep,
-        )
-    q = geometry.SphereOrthotope(*vertex_lambdas(rep.V, vc.y0))
-    return q, _make_certificate(e, q, "edge_length", vc.x0)
+    return _pinned_vertex(e, x0, "edge_length", tol)
 
 
 def construct_through_vertex(
@@ -248,5 +220,5 @@ def construct_through_vertex(
     if functional not in ("edge_length", "facet_area"):
         raise ValueError(f"unknown functional {functional!r}")
     if functional == "edge_length":
-        return construct_vertex_eigen_L(e, x0, tol=tol, seed=seed)
+        return construct_vertex_eigen_L(e, x0, tol=tol)
     return construct_vertex_eigen_S(e, x0, tol=tol, seed=seed)

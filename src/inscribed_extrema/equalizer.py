@@ -16,10 +16,12 @@ Two regimes:
   (odd n in general) there are open sets of row-constant inputs whose
   variance has a positive floor. NotConverged then carries the best frame.
 
-gauss_newton_frame is the one solver for diagonal prescriptions on a frame,
-and multistart the one loop that runs it from a sequence of starts: the
-barycentric equalizer, the edge-length vertex construction (with the free-z
-residual restricted_l_residual) and the oracle's explorer all call them.
+equalize_diagonal also builds the edge-length vertex construction: the
+Cauchy-Schwarz condition through a boundary point is a zero diagonal for
+A / tr A - y0 y0^T. gauss_newton_frame is the one solver for diagonal
+prescriptions on a frame, and multistart the one loop that runs it from a
+sequence of starts: the barycentric equalizer and the facet target of the
+oracle's explorer call them.
 """
 
 import itertools
@@ -97,7 +99,9 @@ def equalize_diagonal(m, tol=DEFAULT_TOLERANCES.equalizer_tol):
     (a+c)/2 + ((a-c)/2) cos 2t + b sin 2t = tr(M)/n, always solvable because
     the active maximum and minimum straddle the mean. Entries count as equal
     within tol max|M|, so the scale of M does not matter; the report's
-    variances and threshold are in units of max|M| too.
+    variances and threshold are in units of max|M| too. The pass also stops
+    when the active entries tie: each is then the mean up to rounding, and
+    the argmax and argmin pair would be one index, no rotation.
     """
     if not valid_tolerance(tol):
         raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
@@ -117,11 +121,11 @@ def equalize_diagonal(m, tol=DEFAULT_TOLERANCES.equalizer_tol):
     iters = 0
     while iters < n - 1:
         d = np.diag(w)
-        if np.max(np.abs(d - t)) <= entry_tol:
-            break
         act = np.array(active)
         p = act[np.argmax(d[act])]
         q = act[np.argmin(d[act])]
+        if p == q or np.max(np.abs(d - t)) <= entry_tol:  # p == q: the active entries tie
+            break
         a, c, b = w[p, p], w[q, q], w[p, q]
         u = 0.5 * (a - c)
         radius = math.hypot(u, b)
@@ -158,28 +162,6 @@ def diag_residual(m, t, q):
         w = v.T @ m @ v
         p = w @ q
         return np.diag(w) - t, 2.0 * (p[:, a] * qb - p[:, b] * qa)
-
-    return residual
-
-
-def restricted_l_residual(a_mat, y0):
-    """Residual diag(U^T A U) - tr(A) z*z, z = U^T y0, with its Jacobian over
-    all frame rotations (q = I), for gauss_newton_frame.
-
-    Along Omega_ab, z moves by -Omega_ab z, which adds
-    2 tr(A) z * (Omega_ab z) to the Jacobian of the diagonal.
-    """
-    n = a_mat.shape[0]
-    tr_a = float(np.trace(a_mat))
-    eye = np.eye(n)
-    a, b = np.triu_indices(n, 1)
-    diagonal = diag_residual(a_mat, 0.0, eye)
-
-    def residual(u):
-        r, jac = diagonal(u)
-        z = u.T @ y0
-        omega_z = eye[:, a] * z[b] - eye[:, b] * z[a]
-        return r - tr_a * z * z, jac + 2.0 * tr_a * z[:, None] * omega_z
 
     return residual
 
@@ -235,16 +217,15 @@ def gauss_newton_frame(v, q, residual, thresh, max_steps):
     return v, psi, steps
 
 
-def multistart(starts, q, residual, thresh, budget, accept=None, baseline=None):
+def multistart(starts, q, residual, thresh, budget, baseline=None):
     """Run gauss_newton_frame from each frame of starts in turn, for at most
     STEPS_PER_START steps; every start costs at least one step of budget.
 
     Stops when the budget is spent, the starts run out, or a start reaches
-    psi <= thresh and passes accept(V), when given. The baseline frame, when
-    given, is the first best candidate and stops the loop at once if it
-    meets the threshold. Returns an EqualizationReport whose V is the
-    accepted frame, or else the lowest-psi one; when no psi is finite, the
-    first start's frame.
+    psi <= thresh. The baseline frame, when given, is the first best
+    candidate and stops the loop at once if it meets the threshold. Returns
+    an EqualizationReport whose V is the first frame under the threshold, or
+    else the lowest-psi one; when no psi is finite, the first start's frame.
     """
     best_v, best_psi, history = None, math.inf, []
     if baseline is not None:
@@ -264,7 +245,7 @@ def multistart(starts, q, residual, thresh, budget, accept=None, baseline=None):
         )
         steps += max(used, 1)
         count += 1
-        converged = psi <= thresh and (accept is None or accept(v))
+        converged = psi <= thresh
         if converged or psi < best_psi:
             best_v, best_psi = v, psi
             history.append(psi)

@@ -1,6 +1,7 @@
 """Stochastic verification against the closed-form bounds, and a numerical
-explorer for the restricted diagonal-prescription problem (the equalizer's
-multistart loop).
+explorer for the restricted diagonal-prescription problem (the pinning
+equalizer for the edge target, the equalizer's multistart loop for the
+facet target).
 
 Each search trial owns a fixed block of a counter-based Philox stream keyed
 by the seed (Salmon, Moraes, Dror & Shaw, SC'11), turned into normals by
@@ -9,10 +10,9 @@ One generator serves a whole search, its chunks being successive counter
 ranges. Trials are evaluated in fixed-size chunks purely for numpy
 throughput, with the trial axis last and contiguous from the Box-Muller
 rows to the values, so every pass is elementwise over trials. The
-explorer's starts come from default_rng((seed, start)).
+explorer's facet starts come from default_rng((seed, start)).
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -201,7 +201,10 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
     """Minimize the restricted diagonal-prescription residual over frames.
 
     target="edge_length": ||diag(U^T A U) - tr(A) z@z||_2 with z = U^T y0
-    free, over all frames U.
+    free, over all frames U. That is tr(A) ||diag(U^T N U)|| with
+    N = A / tr A - y0 y0^T, whose zero diagonal one pass of the pinning
+    equalizer reaches (the edge-length vertex construction's route), so the
+    residual is 0 up to rounding and restarts and seed do not move it.
     target="facet_area": same residual with M = A^-1 and z pinned to
     1/sqrt(n), i.e. frames U0 V with V in the stabilizer of the ones vector.
     equalizer.multistart runs the frame solver from each of the restarts
@@ -220,10 +223,10 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
     if y0.size != n:
         raise DimensionMismatch("y0 dimension does not match the matrix")
     if target == "edge_length":
-        u0 = q = np.eye(n)
         scale = float(np.trace(e.A))
-        residual = equalizer.restricted_l_residual(e.A / scale, y0)
-        draw = functools.partial(linalg.random_orthogonal, n)
+        m = e.A / scale - np.outer(y0, y0)
+        u = equalizer.equalize_diagonal(m).V
+        residual = float(np.linalg.norm(functionals.diag_quadratic(u, m)))
     elif target == "facet_area":
         u0 = equalizer.barycentric_basis(y0)
         m = linalg.sym_matrix(u0.T @ e.C @ u0)
@@ -231,15 +234,13 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
         m = m / scale
         h = equalizer.ones_frame(n)
         q = h[:, 1:]
-        residual = equalizer.diag_residual(m, float(np.trace(m)) / n, q)
-        draw = functools.partial(equalizer.random_stabilizer, h)
+        rep = equalizer.multistart(
+            (equalizer.random_stabilizer(h, np.random.default_rng((seed, rs)))
+             for rs in range(restarts)),
+            q, equalizer.diag_residual(m, float(np.trace(m)) / n, q),
+            0.0, restarts * equalizer.STEPS_PER_START, baseline=np.eye(n),
+        )
+        u, residual = u0 @ rep.V, math.sqrt(rep.final_variance)
     else:
         raise ValueError(f"unknown target {target!r}")
-    rep = equalizer.multistart(
-        (draw(np.random.default_rng((seed, rs))) for rs in range(restarts)), q, residual,
-        0.0, restarts * equalizer.STEPS_PER_START, baseline=np.eye(n),
-    )
-    return RshReport(
-        residual=math.sqrt(rep.final_variance) * scale, U=u0 @ rep.V, target=target,
-        restarts=restarts,
-    )
+    return RshReport(residual=residual * scale, U=u, target=target, restarts=restarts)

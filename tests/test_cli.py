@@ -396,6 +396,28 @@ def test_output_file_atomic_and_clean(tmp_path, capsys):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("case", ["bounds_missing_dir", "csv_missing_dir", "construct_into_dir"])
+def test_unwritable_output_exits_1(tmp_path, capsys, case):
+    # each of these escaped cli.main as a FileNotFoundError or IsADirectoryError
+    m = write_matrix(tmp_path, "a.json", [[1.0, 0.0], [0.0, 2.0]])
+    if case == "construct_into_dir":
+        target = tmp_path / "out"
+        target.mkdir()
+        argv = ["construct", "--matrix", m, "--functional", "edge", "--output", str(target)]
+    else:
+        target = tmp_path / "missing" / "x.out"
+        flag = "--output" if case == "bounds_missing_dir" else "--csv-trace"
+        argv = (["bounds", "--matrix", m] if case == "bounds_missing_dir" else
+                ["search", "--matrix", m, "--functional", "edge", "--trials", "5", "--seed", "1"])
+        argv += [flag, str(target)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert list(target.parent.glob(".inscribed-*.tmp")) == []
+    assert list(tmp_path.glob(".inscribed-*.tmp")) == []
+
+
 def test_construct_vertex_cli_2d(tmp_path, capsys):
     m = write_matrix(tmp_path, "a.json", [[4.0, 0.0], [0.0, 1.0]])
     x0 = [2.0 * math.cos(0.8), math.sin(0.8)]

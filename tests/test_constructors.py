@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from inscribed_extrema import (
+    DEFAULT_TOLERANCES,
     DegenerateVertex,
     Ellipsoid,
     NotConverged,
@@ -19,6 +20,7 @@ from inscribed_extrema import (
     construct_vertex_2d,
     construct_vertex_eigen_L,
     construct_vertex_eigen_S,
+    equalize_diagonal,
     is_inscribed,
     orthotope_to_parallelepiped,
     random_orthogonal,
@@ -213,7 +215,7 @@ def test_vertex_eigen_L_random_axes(n):
         a, y0, ev = spd_with_known_axis(n, rng)
         e = Ellipsoid(a)
         x0 = y0 * np.sqrt(ev)
-        q, cert = construct_vertex_eigen_L(e, x0, seed=k)
+        q, cert = construct_vertex_eigen_L(e, x0)
         assert abs(float(cert.achieved) - bound_L_max(e)) <= 1e-8 * bound_L_max(e)
         p = orthotope_to_parallelepiped(e, q)
         assert np.linalg.norm(all_plus_vertex(p) - x0) <= VERTEX_TOL * np.linalg.norm(x0)
@@ -248,6 +250,76 @@ def test_vertex_L_is_scale_free():
         assert abs(cert.relative_gap) <= 1e-12
         p = orthotope_to_parallelepiped(e, q)
         assert np.linalg.norm(all_plus_vertex(p) - x0) <= VERTEX_TOL * np.linalg.norm(x0)
+
+
+def _edge_vertex_inputs():
+    """(spectrum w, frame P, turn Q, unit y) over n = 2..12, scales 1e-150,
+    1 and 1e150 and cond 1, 1e3 and 1e10: A = P diag(w) P^T, x0 = B y."""
+    for n in range(2, 13):
+        for k in (-150, 0, 150):
+            for cond in (1.0, 1e3, 1e10):
+                rng = np.random.default_rng((n, k + 150, round(np.log10(cond))))
+                w = 10.0**k * np.geomspace(1.0, cond, n)
+                frame, turn = random_orthogonal(n, rng), random_orthogonal(n, rng)
+                for _ in range(2):
+                    y = rng.standard_normal(n)
+                    yield cond, w, frame, turn, y / np.linalg.norm(y)
+
+
+def test_vertex_L_is_exact_and_rotation_equivariant():
+    # one pinning pass zeroes diag(U^T N U), N = A / tr A - y0 y0^T, so the
+    # Cauchy-Schwarz condition holds to rounding and every |z_i| =
+    # sqrt(u_i^T A u_i / tr A) >= sqrt(w_min / tr A)
+    worst_vertex = worst_inscribed = 0.0
+    for cond, w, frame, turn, y in _edge_vertex_inputs():
+        fields = []
+        # QAQ^T through Qx0, built from the rotated frame so x0 stays on the boundary
+        for p, point in ((frame, y), (turn @ frame, turn @ y)):
+            e = Ellipsoid((p * w) @ p.T)
+            q, cert = construct_vertex_eigen_L(e, e.B @ point)
+            res = cert.equality_residuals
+            assert res["cauchy_schwarz"] <= 1e-14, res
+            assert abs(cert.relative_gap) <= 1e-14
+            z_floor = np.sqrt(np.min(e.eigenvalues) / np.trace(e.A))
+            assert np.min(q.lam) / 2.0 >= (1.0 - 1e-12) * z_floor
+            worst_vertex = max(worst_vertex, res["vertex"])
+            worst_inscribed = max(worst_inscribed, res["inscribed"])
+            fields.append(dict(res, relative_gap=cert.relative_gap))
+        # the frames differ (the pinning reads the diagonal in the given basis);
+        # at cond 1e10 vertex and inscribed are rounding near 1e-11 in both
+        keys = fields[0] if cond <= 1e3 else ("cauchy_schwarz", "relative_gap")
+        for key in keys:
+            assert abs(fields[0][key] - fields[1][key]) <= 1e-12, (key, cond, fields)
+    # the solver route's worst on these inputs: vertex 9.0e-12, inscribed 3.0e-11
+    assert worst_vertex <= 9.1e-12
+    assert worst_inscribed <= 3.1e-11
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+def test_vertex_L_tol_zero_is_exact(n):
+    # tol only ends the pinning early; at tol = 0 its report can read
+    # unconverged on rounding alone, but the construction is exact, so the
+    # route certifies the same bound at tol = 0 and at the default
+    rng = np.random.default_rng(660 + n)
+    unconverged = 0
+    for _ in range(10):
+        e = Ellipsoid(random_spd(n, rng, hi=1e6))
+        y = rng.normal(size=n)
+        y /= np.linalg.norm(y)
+        n_mat = e.A / np.trace(e.A) - np.outer(y, y)
+        unconverged += not equalize_diagonal(n_mat, tol=0.0).converged
+        for tol in (0.0, DEFAULT_TOLERANCES.equalizer_tol):
+            _, cert = construct_vertex_eigen_L(e, e.B @ y, tol=tol)
+            assert cert.equality_residuals["cauchy_schwarz"] <= 1e-14
+            assert abs(cert.relative_gap) <= 1e-14
+    assert unconverged > 0
+    # on a sphere through a point on two axes the pinning meets a tie
+    e = Ellipsoid(1e-150 * np.eye(n))
+    y = np.zeros(n)
+    y[-2:] = 2.0**-0.5
+    for tol in (0.0, DEFAULT_TOLERANCES.equalizer_tol):
+        _, cert = construct_vertex_eigen_L(e, e.B @ y, tol=tol)
+        assert cert.equality_residuals["cauchy_schwarz"] <= 1e-14
 
 
 @pytest.mark.parametrize("n", [4, 6, 7])

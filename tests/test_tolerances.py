@@ -101,7 +101,7 @@ def test_tolerance_defaults_are_config_fields():
 
 def _entry_points():
     """One call per public function that takes a tolerance, with that tolerance v;
-    the facet vertex route is called at n = 2 too, where it applies no tolerance."""
+    both vertex routes are called at n = 2 too, where the facet one applies none."""
     m = np.diag([1.0, 4.0, 9.0, 16.0])
     e, e2 = Ellipsoid(m), Ellipsoid(np.diag([1.0, 4.0]))
     x0, x2 = e.B @ np.full(4, 0.5), e2.B @ np.array([0.6, 0.8])
@@ -112,6 +112,7 @@ def _entry_points():
         "construct_vertex_eigen_S": lambda v: construct_vertex_eigen_S(e, x0, tol=v),
         "construct_vertex_eigen_S n=2": lambda v: construct_vertex_eigen_S(e2, x2, tol=v),
         "construct_vertex_eigen_L": lambda v: construct_vertex_eigen_L(e, x0, tol=v),
+        "construct_vertex_eigen_L n=2": lambda v: construct_vertex_eigen_L(e2, x2, tol=v),
         "construct_through_vertex": lambda v: construct_through_vertex(e, x0, "edge_length", tol=v),
         "random_search_global": lambda v: random_search_global(e, "facet_area", 10, 0,
                                                                bound_slack=v),
