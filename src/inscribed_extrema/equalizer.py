@@ -19,12 +19,11 @@ Two regimes:
 equalize_diagonal also builds the edge-length vertex construction: the
 Cauchy-Schwarz condition through a boundary point is a zero diagonal for
 A / tr A - y0 y0^T. gauss_newton_frame is the one solver for diagonal
-prescriptions on a frame, and multistart the one loop that runs it from a
-sequence of starts: the barycentric equalizer and the facet target of the
-oracle's explorer call them.
+prescriptions on a frame, and equalize_diagonal_barycentric its one
+caller; the vertex facet construction and the facet target of the
+oracle's explorer both go through that equalizer.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -166,16 +165,16 @@ def diag_residual(m, t, q):
     return residual
 
 
-def gauss_newton_frame(v, q, residual, thresh, max_steps):
-    """Riemannian Gauss-Newton with Levenberg-Marquardt damping for a
-    residual of an orthogonal frame.
+def gauss_newton_frame(v, m, t, q, thresh, max_steps):
+    """Riemannian Gauss-Newton with Levenberg-Marquardt damping for the
+    residual r(V) = diag(V^T M V) - t of an orthogonal frame.
 
     The frame moves as V <- V cay(Q S Q^T), S skew and cay the Cayley
-    retraction, so V only turns within the span of q's orthonormal columns;
-    with q a basis of the ones-complement every iterate fixes the ones
-    vector. residual(v) returns r(V) and its Jacobian J, whose k columns are
-    the derivatives along Omega_ab = q_a q_b^T - q_b q_a^T for the pairs
-    a < b in np.triu_indices order. Each step solves
+    retraction, so V only turns within the span of q's two or more
+    orthonormal columns; q spans the ones-complement, and every iterate
+    fixes the ones vector. diag_residual gives r and its Jacobian J,
+    whose k columns are the derivatives along Omega_ab = q_a q_b^T - q_b q_a^T
+    for the pairs a < b in np.triu_indices order. Each step solves
     (J^T J + mu I) s = -J^T r; at mu = 0 that is the minimum-norm
     Gauss-Newton step. A step is accepted when psi = ||r||^2 drops, and then
     mu shrinks 3x; a rejected step grows mu 4x, or sets it to
@@ -186,14 +185,13 @@ def gauss_newton_frame(v, q, residual, thresh, max_steps):
 
     Returns (V, psi, accepted steps).
     """
+    residual = diag_residual(m, t, q)
     a, b = np.triu_indices(q.shape[1], 1)
     eye = np.eye(v.shape[0])
     r, jac = residual(v)
     psi = float(r @ r)
-    mu = 0.0
-    steps = rejects = 0
-    # with one column, q admits no rotation (the n = 2 stabilizer is trivial)
-    while a.size and psi > thresh and steps < max_steps and rejects < MAX_REJECTS:
+    mu, steps, rejects = 0.0, 0, 0
+    while psi > thresh and steps < max_steps and rejects < MAX_REJECTS:
         if not rejects:
             # one SVD per point serves every damping tried there
             left, sig, right = np.linalg.svd(jac, full_matrices=False)
@@ -217,58 +215,17 @@ def gauss_newton_frame(v, q, residual, thresh, max_steps):
     return v, psi, steps
 
 
-def multistart(starts, q, residual, thresh, budget, baseline=None):
-    """Run gauss_newton_frame from each frame of starts in turn, for at most
-    STEPS_PER_START steps; every start costs at least one step of budget.
-
-    Stops when the budget is spent, the starts run out, or a start reaches
-    psi <= thresh. The baseline frame, when given, is the first best
-    candidate and stops the loop at once if it meets the threshold. Returns
-    an EqualizationReport whose V is the first frame under the threshold, or
-    else the lowest-psi one; when no psi is finite, the first start's frame.
-    """
-    best_v, best_psi, history = None, math.inf, []
-    if baseline is not None:
-        r = residual(baseline)[0]
-        best_v, best_psi = baseline, float(r @ r)
-        history.append(best_psi)
-    converged = best_psi <= thresh
-    steps = count = 0
-    starts = iter(starts)
-    # test before drawing: a start is drawn only when it will run
-    while not converged and steps < budget:
-        v = next(starts, None)
-        if v is None:
-            break
-        v, psi, used = gauss_newton_frame(
-            v, q, residual, thresh, min(STEPS_PER_START, budget - steps)
-        )
-        steps += max(used, 1)
-        count += 1
-        converged = psi <= thresh
-        if converged or psi < best_psi:
-            best_v, best_psi = v, psi
-            history.append(psi)
-        elif best_v is None:
-            best_v = v
-    return EqualizationReport(
-        V=best_v,
-        iterations=steps,
-        variance_history=history,
-        converged=converged,
-        final_variance=best_psi,
-        restarts=max(count - 1, 0),
-        threshold=thresh,
-    )
-
-
 def equalize_diagonal_barycentric(m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_iter=None, seed=0):
     """Equalize diag(V^T M V) with V in the stabilizer of the all-ones vector.
 
     Every such V keeps the trace, so the target t = tr(M)/n holds along the
-    whole stabilizer. For n >= 4 multistart runs gauss_newton_frame from the
-    identity, then from seeded random stabilizer elements, until
-    psi = ||diag(V^T M V) - t||^2 <= (tol (1 + |t|))^2 or max_iter steps are spent.
+    whole stabilizer. For n >= 4 gauss_newton_frame runs from the identity,
+    then from Haar random stabilizer elements drawn from default_rng(seed),
+    each start for at most STEPS_PER_START steps, until
+    psi = ||diag(V^T M V) - t||^2 <= (tol (1 + |t|))^2 or max_iter steps are
+    spent; every start costs at least one step. The report's V is the first
+    frame under the threshold, or else the lowest-psi one, the identity
+    included; restarts counts the starts after the first.
 
     n = 3 takes 0 steps. The stabilizer is V(x) = h diag(1, R(x)) h^T with
     h = ones_frame(3); a third of a turn permutes the diagonal and psi has
@@ -293,7 +250,7 @@ def equalize_diagonal_barycentric(m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_i
     if max_iter < 0:
         raise NonPositiveInput(f"max_iter must be >= 0, got {max_iter!r}")
     t, h, eye = float(np.trace(m)) / n, ones_frame(n), np.eye(n)
-    q, base, starts = h[:, 1:], eye, ()
+    q, base = h[:, 1:], eye
     scale = float(np.max(np.abs(m))) if n == 3 else 1.0 + abs(t)
     s = float(tol) * scale  # a float product overflows to inf where ** raises
     psi_eye = sum(d * d for d in (np.diag(m) - t).tolist())
@@ -308,10 +265,25 @@ def equalize_diagonal_barycentric(m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_i
         gain = spread * (math.sqrt(p0) - math.sqrt(max(a - math.hypot(b, c), 0.0)))
         if psi_eye > thresh and gain > 64 * np.finfo(float).eps * scale:  # else it gains only rounding
             base = h @ linalg.givens(3, 1, 2, math.atan2(-c, -b) / 3.0) @ h.T
-    else:
-        rng = np.random.default_rng(seed)
-        starts = itertools.chain([eye], (random_stabilizer(h, rng) for _ in itertools.count()))
-    report = multistart(starts, q, diag_residual(m, t, q), thresh, max_iter, baseline=base)
+    d = np.diag(base.T @ m @ base) - t
+    best_v, best_psi = base, float(d @ d)
+    history, converged = [best_psi], best_psi <= thresh
+    steps = count = 0
+    rng = np.random.default_rng(seed)
+    # n = 3 is the closed form alone; a start is drawn only when it will run
+    while n > 3 and not converged and steps < max_iter:
+        v = random_stabilizer(h, rng) if count else eye
+        v, psi, used = gauss_newton_frame(v, m, t, q, thresh, min(STEPS_PER_START, max_iter - steps))
+        steps += max(used, 1)
+        count += 1
+        converged = psi <= thresh
+        if converged or psi < best_psi:
+            best_v, best_psi = v, psi
+            history.append(psi)
+    report = EqualizationReport(
+        V=best_v, iterations=steps, variance_history=history, converged=converged,
+        final_variance=best_psi, restarts=max(count - 1, 0), threshold=thresh,
+    )
     if not report.converged:
         raise NotConverged(
             f"proven least diagonal variance {report.final_variance:.6e} on the n=3 "

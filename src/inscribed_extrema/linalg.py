@@ -95,7 +95,7 @@ def random_orthogonal(n, seed):
     """Haar-distributed orthogonal matrix, deterministic given the seed.
 
     seed may be an int or an already-constructed numpy Generator (the
-    multistart loops pass one default_rng((seed, start)) per start).
+    barycentric equalizer draws all its starts from one default_rng(seed)).
     """
     if n < 1:
         raise DimensionMismatch("n must be >= 1")

@@ -1,7 +1,7 @@
 """Stochastic verification against the closed-form bounds, and a numerical
 explorer for the restricted diagonal-prescription problem (the pinning
-equalizer for the edge target, the equalizer's multistart loop for the
-facet target).
+equalizer for the edge target, the barycentric equalizer for the facet
+target).
 
 Each search trial owns a fixed block of a counter-based Philox stream keyed
 by the seed (Salmon, Moraes, Dror & Shaw, SC'11), turned into normals by
@@ -9,8 +9,7 @@ Box-Muller, so results are independent of chunking and execution order.
 One generator serves a whole search, its chunks being successive counter
 ranges. Trials are evaluated in fixed-size chunks purely for numpy
 throughput, with the trial axis last and contiguous from the Box-Muller
-rows to the values, so every pass is elementwise over trials. The
-explorer's facet starts come from default_rng((seed, start)).
+rows to the values, so every pass is elementwise over trials.
 """
 
 import math
@@ -21,7 +20,7 @@ import numpy as np
 from . import equalizer, functionals, geometry, linalg
 from .config import DEFAULT_TOLERANCES, valid_tolerance
 from .constructors import DEGENERATE_TOL, VertexConstraint, vertex_lambdas
-from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput
+from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput, NotConverged
 
 CHUNK = 1024
 
@@ -206,10 +205,12 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
     equalizer reaches (the edge-length vertex construction's route), so the
     residual is 0 up to rounding and restarts and seed do not move it.
     target="facet_area": same residual with M = A^-1 and z pinned to
-    1/sqrt(n), i.e. frames U0 V with V in the stabilizer of the ones vector.
-    equalizer.multistart runs the frame solver from each of the restarts
-    seeded starts; the identity is the baseline candidate. Reports the best
-    residual found; no optimality claim. Both targets are solved on their
+    1/sqrt(n), i.e. frames U0 V with V in the stabilizer of the ones vector:
+    the barycentric equalizer on U0^T C U0 at tol 0, with a budget of
+    restarts * STEPS_PER_START solver steps and the seed as its start
+    stream. At n = 3 that is the proven closed-form floor, and at n = 2 the
+    stabilizer is trivial, so U = U0. Elsewhere it reports the best residual
+    found; no optimality claim. Both targets are solved on their
     matrix over its trace, and the residual is multiplied back by that
     trace, so no scale of A overflows or underflows it.
     """
@@ -232,15 +233,16 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
         m = linalg.sym_matrix(u0.T @ e.C @ u0)
         scale = float(np.trace(m))
         m = m / scale
-        h = equalizer.ones_frame(n)
-        q = h[:, 1:]
-        rep = equalizer.multistart(
-            (equalizer.random_stabilizer(h, np.random.default_rng((seed, rs)))
-             for rs in range(restarts)),
-            q, equalizer.diag_residual(m, float(np.trace(m)) / n, q),
-            0.0, restarts * equalizer.STEPS_PER_START, baseline=np.eye(n),
-        )
-        u, residual = u0 @ rep.V, math.sqrt(rep.final_variance)
+        if n == 2:
+            u, residual = u0, float(np.linalg.norm(np.diag(m) - np.trace(m) / 2))
+        else:
+            try:
+                rep = equalizer.equalize_diagonal_barycentric(
+                    m, tol=0.0, max_iter=restarts * equalizer.STEPS_PER_START, seed=seed
+                )
+            except NotConverged as exc:
+                rep = exc.report
+            u, residual = u0 @ rep.V, math.sqrt(rep.final_variance)
     else:
         raise ValueError(f"unknown target {target!r}")
     return RshReport(residual=residual * scale, U=u, target=target, restarts=restarts)

@@ -73,7 +73,8 @@ def test_construct_then_verify_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert out == ""  # routed to the file instead
-    doc = json.loads(open(out_path).read())
+    with open(out_path) as fh:
+        doc = json.load(fh)
     pe_path = tmp_path / "p.json"
     pe_path.write_text(json.dumps(doc["result"]["parallelepiped"]))
     code, out, _ = run_cli(capsys, ["verify", "--matrix", m, "--parallelepiped", str(pe_path)])
@@ -144,7 +145,10 @@ def test_each_input_file_is_opened_once(tmp_path, capsys, monkeypatch):
     p = tmp_path / "p.json"
     p.write_text(json.dumps(json.loads(out)["result"]["parallelepiped"]))
     p = str(p)
-    digest = {path: hashlib.sha256(open(path, "rb").read()).hexdigest() for path in (m, v, p)}
+    digest = {}
+    for path in (m, v, p):
+        with open(path, "rb") as fh:
+            digest[path] = hashlib.sha256(fh.read()).hexdigest()
     opened = []
     real_open = open
 

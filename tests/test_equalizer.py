@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,7 +18,7 @@ from inscribed_extrema import (
 from inscribed_extrema.equalizer import (
     STEPS_PER_START,
     diag_residual,
-    multistart,
+    gauss_newton_frame,
     ones_frame,
     random_stabilizer,
 )
@@ -165,8 +167,8 @@ def test_barycentric_known_infeasible_n3():
     assert np.linalg.norm(rep.V.T @ rep.V - np.eye(3)) < 1e-10
 
 
-def _n3_report(m, **kw):
-    """The n = 3 report, returned or carried by NotConverged."""
+def _report_of(m, **kw):
+    """The report, returned or carried by NotConverged."""
     try:
         return equalize_diagonal_barycentric(m, **kw)
     except NotConverged as exc:
@@ -182,7 +184,7 @@ def test_barycentric_n3_floor_is_the_orbit_minimum():
     for k in range(200):
         m = random_row_constant(3, rng) if k % 2 else random_symmetric(3, rng)
         t = np.trace(m) / 3.0
-        rep = _n3_report(m, seed=k)
+        rep = _report_of(m, seed=k)
         assert rep.iterations == 0 and rep.restarts == 0
         assert np.max(np.abs(rep.V @ np.ones(3) - 1.0)) <= ONES_TOL
         assert abs(np.linalg.det(rep.V) - 1.0) <= ONES_TOL
@@ -192,9 +194,9 @@ def test_barycentric_n3_floor_is_the_orbit_minimum():
         if k % 2:
             solver = orbit_psi(m, np.eye(3))
         else:
-            starts = [np.eye(3), random_stabilizer(h, rng)]
-            solver = multistart(starts, h[:, 1:], diag_residual(m, t, h[:, 1:]), 0.0,
-                                2 * STEPS_PER_START).final_variance
+            starts = (np.eye(3), random_stabilizer(h, rng))
+            solver = min(gauss_newton_frame(v, m, t, h[:, 1:], 0.0, STEPS_PER_START)[1]
+                         for v in starts)
         assert rep.final_variance <= (1.0 + 1e-9) * solver
 
 
@@ -256,11 +258,11 @@ def test_barycentric_n3_is_free_of_shift_and_scale(k):
     rng = np.random.default_rng(3006)
     for trial in range(20):
         m = random_symmetric(3, rng)
-        ref = _n3_report(m, seed=trial)
+        ref = _report_of(m, seed=trial)
         ref_spread = np.max(np.abs(m - np.trace(m) / 3.0 * np.eye(3)))
         for c in (0.0, 1e6 * rng.uniform(-1.0, 1.0), -1e6, 1e6):
             mk = 10.0**k * (m + c * np.eye(3))
-            got = _n3_report(mk, seed=trial)
+            got = _report_of(mk, seed=trial)
             spread = np.max(np.abs(mk - np.trace(mk) / 3.0 * np.eye(3)))
             assert got.converged == ref.converged
             assert np.max(np.abs(got.V - ref.V)) <= 1e-9
@@ -336,6 +338,22 @@ def test_barycentric_refuses_negative_max_iter(n):
         equalize_diagonal_barycentric(m, seed=1, max_iter=-5)
 
 
+def test_barycentric_budget_and_identity_baseline():
+    m = np.diag([1.0, 2.0, 3.0, 4.0])
+    # no budget: no start runs, the identity is the report
+    with pytest.raises(NotConverged) as info:
+        equalize_diagonal_barycentric(m, max_iter=0)
+    rep = info.value.report
+    assert rep.iterations == 0 and rep.restarts == 0
+    assert np.array_equal(rep.V, np.eye(4)) and rep.variance_history == [5.0]
+    # the identity under the threshold ends the run before any start
+    m = random_symmetric(4, np.random.default_rng(63))
+    np.fill_diagonal(m, 0.7)
+    rep = equalize_diagonal_barycentric(m)
+    assert rep.converged and rep.iterations == 0 and rep.restarts == 0
+    assert np.array_equal(rep.V, np.eye(4))
+
+
 def test_barycentric_zero_max_iter_takes_no_step():
     m = random_symmetric(4, np.random.default_rng(61))
     with pytest.raises(NotConverged) as exc:
@@ -359,6 +377,40 @@ def test_barycentric_near_degenerate_n4_converges(seed):
     rep = equalize_diagonal_barycentric(m, tol=1e-9, seed=seed)
     assert rep.converged
     assert np.max(np.abs(rep.V @ np.ones(4) - 1.0)) <= 1e-12
+
+
+def _report_digest():
+    """SHA-256 over every report field of a fixed set of barycentric runs."""
+    cases = [
+        (np.diag([1.0, 2.0, 3.0]), {}),  # n = 3, turned to its proven floor
+        (np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]), {}),  # keeps I
+        *((random_row_constant(n, np.random.default_rng(300 + n)), {"seed": 1})
+          for n in (4, 6, 8)),  # converged from the identity
+        (np.array(NEAR_DEGENERATE_4), {"tol": 1e-9, "seed": 2}),  # converged after 2 restarts
+        # criterion 4's n = 5 trial 0, proven infeasible: a budget stop after restarts
+        (random_row_constant(5, np.random.default_rng((1004, 5))),
+         {"tol": 1e-9, "seed": 0, "max_iter": 300}),
+        (np.diag([1.0, 2.0, 3.0, 5.0]), {"max_iter": 0}),
+    ]
+    h = hashlib.sha256()
+    for m, kw in cases:
+        rep = _report_of(m, **kw)
+        h.update(np.ascontiguousarray(rep.V).tobytes())
+        fields = (rep.iterations, rep.restarts, [x.hex() for x in rep.variance_history],
+                  rep.final_variance.hex(), rep.threshold.hex(), rep.converged)
+        h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+# Pins the bits of every report field: a change to the start loop or the
+# solver that means to keep its results must keep this digest. The frames
+# pass through LAPACK's SVD and solve, so another numpy or BLAS build may
+# round them differently and move it.
+REPORT_DIGEST = "a960455511843b268fbd6bb716be8b28d025d14e3a1bba33d70d1826a9e976a7"
+
+
+def test_barycentric_report_bits_are_pinned():
+    assert _report_digest() == REPORT_DIGEST
 
 
 # ------------------------------------------------------- Gauss-Newton solver
@@ -387,31 +439,3 @@ def test_diag_residual_jacobian_matches_central_differences():
             v = random_orthogonal(n, rng)
             jac = residual(v)[1]
             assert_allclose(jac, _central_difference_jacobian(residual, v, q), atol=1e-7)
-
-
-def test_multistart_keeps_the_first_start_when_no_psi_is_finite():
-    # no baseline, and every start's residual is infinite: the report still
-    # carries a frame (the first start's) that the CLI can emit
-    def residual(v):
-        return np.full(3, np.inf), np.zeros((3, 3))
-
-    starts = [random_orthogonal(3, seed) for seed in range(3)]
-    rep = multistart(starts, np.eye(3), residual, 1e-24, 3 * STEPS_PER_START)
-    assert not rep.converged and rep.restarts == 2
-    assert rep.V is starts[0]
-    assert rep.final_variance == np.inf
-    assert rep.to_dict()["V"] == starts[0].tolist()
-
-
-def test_multistart_budget_and_baseline():
-    m = np.diag([1.0, 2.0, 3.0, 4.0])
-    q = np.eye(4)
-    residual = diag_residual(m, 2.5, q)
-    # no budget: no start is drawn, the baseline is the report
-    rep = multistart(iter([np.eye(4)]), q, residual, 0.0, 0, baseline=np.eye(4))
-    assert rep.iterations == 0 and rep.restarts == 0
-    assert rep.V is not None and rep.variance_history == [5.0]
-    # a baseline under the threshold ends the loop before any start
-    rep = multistart([random_orthogonal(4, 0)], q, residual, 5.0, 60, baseline=np.eye(4))
-    assert rep.converged and rep.iterations == 0
-    assert_allclose(rep.V, np.eye(4))

@@ -11,7 +11,9 @@ from inscribed_extrema import (
     DimensionTooSmall,
     Ellipsoid,
     NonPositiveInput,
+    NotConverged,
     edge_length_total,
+    equalize_diagonal_barycentric,
     explore_restricted_schur_horn,
     facet_area_total_factored,
     householder_to,
@@ -21,8 +23,10 @@ from inscribed_extrema import (
     random_search_vertex,
 )
 from inscribed_extrema import oracle
-from inscribed_extrema.equalizer import barycentric_basis, diag_residual
+from inscribed_extrema.equalizer import STEPS_PER_START, barycentric_basis, diag_residual
 from inscribed_extrema.functionals import evaluate
+from inscribed_extrema.linalg import sym_matrix
+from orbit import grid_floor
 
 N3_ORBIT_FLOOR = 0.30618621784789724  # sqrt(2/3) * (3/8), the invariant-orbit residual below
 
@@ -319,6 +323,37 @@ def test_explorer_facet_floor_is_first_order_stationary():
     assert_allclose(np.linalg.norm(r), rep.residual, rtol=1e-9)
     # ||J^T r|| / (||J||_F ||r||): 1.3e-7 here; the annealer's frame had 1.5e-2
     assert np.linalg.norm(jac.T @ r) <= 1e-2 * np.linalg.norm(jac) * np.linalg.norm(r)
+
+
+def _bary_report(m, **kw):
+    try:
+        return equalize_diagonal_barycentric(m, **kw)
+    except NotConverged as exc:
+        return exc.report
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_explorer_facet_target_is_the_barycentric_equalizer(n):
+    # the facet target is the barycentric equalizer on U0^T C U0 / tr at tol 0,
+    # with restarts * STEPS_PER_START solver steps; at n = 3 it is the closed
+    # form, so every budget gives the proven floor
+    rng = np.random.default_rng((2027, n))
+    a = random_spd(n, rng)
+    y0 = rng.normal(size=n)
+    y0 /= np.linalg.norm(y0)
+    u0 = barycentric_basis(y0)
+    m = sym_matrix(u0.T @ Ellipsoid(a).C @ u0)
+    scale = float(np.trace(m))
+    m = m / scale
+    for restarts in (0, 1, 8):
+        rep = explore_restricted_schur_horn(a, y0, "facet_area", restarts=restarts, seed=5)
+        bary = _bary_report(m, tol=0.0, max_iter=restarts * STEPS_PER_START, seed=5)
+        assert np.array_equal(rep.U, u0 @ bary.V)
+        assert rep.residual == math.sqrt(bary.final_variance) * scale
+        if n == 3:
+            floor = _bary_report(m, tol=0.0).final_variance
+            assert rep.residual == math.sqrt(floor) * scale
+            assert floor <= (1.0 + 1e-9) * grid_floor(m)
 
 
 def test_explorer_facet_n2_keeps_the_barycentric_frame():
