@@ -205,9 +205,9 @@ def _cmd_construct(args):
                 e, x0, functional=functional, tol=args.equalizer_tol, seed=seed
             )
         elif functional == "edge_length":
-            q, cert = construct_L_max(e, seed=seed)
+            q, cert = construct_L_max(e)
         else:
-            q, cert = construct_S_max(e)
+            q, cert = construct_S_max(e, tol=args.equalizer_tol)
     except NotConverged as exc:
         return _refused(exc, {"equalization": exc.report and exc.report.to_dict()})
     return 0, {

@@ -1,11 +1,11 @@
 """Extremal inscribed parallelepipeds.
 
-Global maximizers for both functionals, and vertex-constrained maximizers
-through any boundary point: for the edge length (and for both functionals
-at n = 2, where S = L) one pass of the pinning equalizer on
-A / tr A - y0 y0^T, and for the facet area at n >= 3 the barycentric
-equalizer on U0^T C U0, which raises NotConverged with the best frame where
-no frame meets its condition.
+Global maximizers on the ellipsoid's eigenbasis (for the edge length, the
+principal-axis box), and vertex-constrained maximizers through any boundary
+point: for the edge length (and both functionals at n = 2, where S = L) one
+pass of the pinning equalizer on A / tr A - y0 y0^T, and for the facet area
+at n >= 3 the seeded barycentric equalizer on U0^T C U0, which raises
+NotConverged with the best frame where no frame meets its condition.
 """
 
 import math
@@ -103,37 +103,26 @@ def _make_certificate(e, q, functional, x0=None):
     return ExtremalCertificate(achieved, bound, (bound - achieved.value) / bound, residuals, p)
 
 
-def construct_L_max(e, u=None, seed=0):
-    """Maximal total edge length; works for every orthonormal frame.
+def construct_L_max(e):
+    """Maximal total edge length: the principal-axis box of A = Q diag(w) Q^T, no random draw.
 
-    Adapted edge lengths lambda_i = 2 sqrt(u_i^T A u_i) / sqrt(tr A) attain
-    the bound 2^n sqrt(tr A) regardless of U.
+    U = Q and lambda = 2 sqrt(w / sum w) give P = B U diag(lambda) = 2 Q diag(w) / sqrt(tr A).
+    Its vertices x = sum +-w_i q_i / sqrt(sum w) have x^T A^-1 x = 1, and L = 2^n sqrt(tr A).
     """
-    if u is None:
-        u = linalg.random_orthogonal(e.n, seed)
-    else:
-        u = linalg.require_orthogonal(np.asarray(u, dtype=float))
-        if u.shape[0] != e.n:
-            raise DimensionMismatch("frame dimension does not match the ellipsoid")
-    g = functionals.diag_quadratic(u, e.A)
-    root_tr = math.sqrt(float(g.sum()))
-    lam = 2.0 * np.sqrt(g) / root_tr
-    q = geometry.SphereOrthotope(u, lam)
+    w = e.eigenvalues
+    q = geometry.SphereOrthotope(e.eigenvectors, 2.0 * np.sqrt(w / w.sum()))
     return q, _make_certificate(e, q, "edge_length")
 
 
-def construct_S_max(e):
+def construct_S_max(e, tol=DEFAULT_TOLERANCES.equalizer_tol):
     """Maximal total facet area: uniform lambda and an equal-diagonal frame.
 
     C = Q diag(1/w) Q^T in the ellipsoid's eigenbasis, so the frame is Q
-    composed with the pinning equalizer run on diag(1/w), and
+    composed with the pinning equalizer run on diag(1/w) at tol, and
     diag(U^T C U) = tr(C)/n * 1. No second decomposition is taken.
     """
-    n = e.n
-    rep = equalizer.equalize_diagonal(np.diag(1.0 / e.eigenvalues))
-    u = e.eigenvectors @ rep.V
-    lam = np.full(n, 2.0 / math.sqrt(n))
-    q = geometry.SphereOrthotope(u, lam)
+    v = equalizer.equalize_diagonal(np.diag(1.0 / e.eigenvalues), tol=tol).V
+    q = geometry.SphereOrthotope(e.eigenvectors @ v, np.full(e.n, 2.0 / math.sqrt(e.n)))
     return q, _make_certificate(e, q, "facet_area")
 
 

@@ -220,7 +220,7 @@ def equalize_diagonal_barycentric(m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_i
 
     Every such V keeps the trace, so the target t = tr(M)/n holds along the
     whole stabilizer. For n >= 4 gauss_newton_frame runs from the identity,
-    then from Haar random stabilizer elements drawn from default_rng(seed),
+    then from Haar random stabilizer elements drawn from default_rng(seed), seed >= 0,
     each start for at most STEPS_PER_START steps, until
     psi = ||diag(V^T M V) - t||^2 <= (tol (1 + |t|))^2 or max_iter steps are
     spent; every start costs at least one step. The report's V is the first
@@ -249,6 +249,8 @@ def equalize_diagonal_barycentric(m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_i
     max_iter = 500 * n * n if max_iter is None else max_iter
     if max_iter < 0:
         raise NonPositiveInput(f"max_iter must be >= 0, got {max_iter!r}")
+    if seed < 0:
+        raise NonPositiveInput("seed must be >= 0")
     t, h, eye = float(np.trace(m)) / n, ones_frame(n), np.eye(n)
     q, base = h[:, 1:], eye
     scale = float(np.max(np.abs(m))) if n == 3 else 1.0 + abs(t)

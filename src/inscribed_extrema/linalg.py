@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, OutOfRange
+from .errors import DimensionMismatch, NonPositiveInput, NotPositiveDefinite, OutOfRange
 
 # max |U^T U - I| entry for a frame to count as orthonormal; also |norm(y) - 1| for a unit vector
 ORTHO_TOL = 1e-10
@@ -94,11 +94,12 @@ def householder_to(a, b):
 def random_orthogonal(n, seed):
     """Haar-distributed orthogonal matrix, deterministic given the seed.
 
-    seed may be an int or an already-constructed numpy Generator (the
-    barycentric equalizer draws all its starts from one default_rng(seed)).
+    seed: an int >= 0, or the Generator that equalizer.random_stabilizer passes.
     """
     if n < 1:
         raise DimensionMismatch("n must be >= 1")
+    if not isinstance(seed, np.random.Generator) and seed < 0:
+        raise NonPositiveInput("seed must be >= 0")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return haar_from_gaussian(rng.standard_normal((n, n)))
 

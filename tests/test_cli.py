@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from inscribed_extrema import cli
+from inscribed_extrema import Ellipsoid, cli
 from orbit import grid_floor, psi as orbit_psi
 
 SQRT14_L = 29.93325909419153
@@ -92,6 +92,42 @@ def test_construct_facet_attains_bound(tmp_path, capsys):
     assert code == 0
     cert = json.loads(out)["result"]["certificate"]
     assert abs(cert["achieved"] - OVER_SQRT3_S) < 1e-9 * OVER_SQRT3_S
+
+
+def test_construct_edge_is_the_principal_axis_box(tmp_path, capsys):
+    # the global edge maximizer draws no frame: the seed does not move it, and
+    # it is A's eigenbasis with lambda = 2 sqrt(w / tr A)
+    a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    m = write_matrix(tmp_path, "a.json", a.tolist())
+    results = []
+    for seed in (["--seed", "1"], ["--seed", "2"], []):
+        code, out, _ = run_cli(capsys, ["construct", "--matrix", m, "--functional", "edge"] + seed)
+        assert code == 0
+        results.append(json.dumps(json.loads(out)["result"]))
+    assert results[0] == results[1] == results[2]
+    orthotope = json.loads(results[0])["orthotope"]
+    e = Ellipsoid(a)
+    w = e.eigenvalues
+    assert np.array_equal(orthotope["U"], e.eigenvectors)
+    np.testing.assert_allclose(orthotope["lambda"], 2.0 * np.sqrt(w / w.sum()), rtol=1e-15)
+
+
+def test_construct_facet_applies_tol_equalizer(tmp_path, capsys):
+    # the manifest records --tol-equalizer, so the global facet route applies it:
+    # at 0.5 the pinning pass on diag(1/w) stops after one rotation of three
+    m = write_matrix(tmp_path, "a.json", np.diag([1.0, 4.0, 9.0, 16.0]).tolist())
+    argv = ["construct", "--matrix", m, "--functional", "facet"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    tight = json.loads(out)["result"]["certificate"]
+    code, out, _ = run_cli(capsys, argv + ["--tol-equalizer", "0.5"])
+    assert code == 0
+    doc = json.loads(out)
+    loose = doc["result"]["certificate"]
+    assert doc["manifest"]["tolerances"] == {"equalizer_tol": 0.5}
+    assert abs(tight["relative_gap"]) <= 1e-12
+    assert loose["relative_gap"] > 0.01
+    assert loose["equality_residuals"]["diagonal_equalization"] > 0.5
 
 
 def test_construct_then_verify_past_vertex_enumeration_cap(tmp_path, capsys):

@@ -20,17 +20,18 @@ from inscribed_extrema import (
     construct_vertex_2d,
     construct_vertex_eigen_L,
     construct_vertex_eigen_S,
+    diag_quadratic,
     equalize_diagonal,
     is_inscribed,
     orthotope_to_parallelepiped,
     random_orthogonal,
     vertex_lambdas,
 )
+from inscribed_extrema.functionals import evaluate
 from orbit import grid_floor, psi as orbit_psi
 
 VERTEX_TOL = 1e-9
 
-SQRT14_L = 29.93325909419153   # 8 sqrt(14), edge bound of diag(1,4,9)
 SQRT6_L = 19.595917942265423   # 8 sqrt(6), edge bound of diag(1,2,3)
 
 
@@ -53,22 +54,18 @@ def spd_with_known_axis(n, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
 def test_construct_L_max_attains_bound(n):
-    rng = np.random.default_rng(400 + n)
-    for k in range(20):
+    rng, frames = np.random.default_rng(400 + n), np.random.default_rng((400 + n, 1))
+    for _ in range(20):
         e = Ellipsoid(random_spd(n, rng))
-        q, cert = construct_L_max(e, seed=k)
+        q, cert = construct_L_max(e)
         assert abs(float(cert.achieved) - cert.bound) <= 1e-10 * cert.bound
         p = orthotope_to_parallelepiped(e, q)
         assert is_inscribed(e, p).max_residual < VERTEX_TOL
-
-
-def test_construct_L_max_any_frame():
-    # the edge bound is frame-independent; feed an arbitrary frame in
-    e = Ellipsoid(np.diag([1.0, 4.0, 9.0]))
-    u = random_orthogonal(3, seed=5)
-    q, cert = construct_L_max(e, u=u)
-    assert abs(float(cert.achieved) - SQRT14_L) < 1e-10
-    assert_allclose(q.U, u)
+        # the bound is frame-independent: on any frame the adapted edge
+        # lengths 2 sqrt(u_i^T A u_i / tr A) attain it too
+        u = np.stack([random_orthogonal(n, frames) for _ in range(8)], axis=-1)
+        lam = 2.0 * np.sqrt(diag_quadratic(u, e.A) / np.trace(e.A))
+        assert_allclose(evaluate(e, u, lam, "edge_length"), cert.bound, rtol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
@@ -100,9 +97,9 @@ def test_construct_S_max_residuals_are_relative():
 @pytest.mark.parametrize("k", [-200, 0, 200])
 def test_construct_L_max_cauchy_schwarz_residual_is_scale_free(k):
     rng = np.random.default_rng(16)
-    for i in range(20):
+    for _ in range(20):
         e = Ellipsoid(10.0**k * random_spd(5, rng))
-        _, cert = construct_L_max(e, seed=i)
+        _, cert = construct_L_max(e)
         assert cert.equality_residuals["cauchy_schwarz"] <= 1e-14
 
 

@@ -1,7 +1,8 @@
 """Tolerances: a public function takes a tolerance keyword only where a CLI
 flag or a caller in the package sets it, and it defaults to the
 DEFAULT_TOLERANCES field of the same meaning. Fixed tolerances are module
-constants. Every such function refuses a negative, NaN or infinite value."""
+constants. Every such function refuses a negative, NaN or infinite value,
+and every public function that takes a seed refuses a negative one."""
 
 import ast
 import math
@@ -16,12 +17,15 @@ from inscribed_extrema import (
     NonPositiveInput,
     Parallelepiped,
     cli,
+    construct_S_max,
     construct_through_vertex,
     construct_vertex_eigen_L,
     construct_vertex_eigen_S,
     equalize_diagonal,
     equalize_diagonal_barycentric,
+    explore_restricted_schur_horn,
     is_inscribed,
+    random_orthogonal,
     random_search_global,
     random_search_vertex,
 )
@@ -109,6 +113,7 @@ def _entry_points():
         "is_inscribed": lambda v: is_inscribed(e, Parallelepiped(np.eye(4)), tol=v),
         "equalize_diagonal": lambda v: equalize_diagonal(m, tol=v),
         "equalize_diagonal_barycentric": lambda v: equalize_diagonal_barycentric(m, tol=v),
+        "construct_S_max": lambda v: construct_S_max(e, tol=v),
         "construct_vertex_eigen_S": lambda v: construct_vertex_eigen_S(e, x0, tol=v),
         "construct_vertex_eigen_S n=2": lambda v: construct_vertex_eigen_S(e2, x2, tol=v),
         "construct_vertex_eigen_L": lambda v: construct_vertex_eigen_L(e, x0, tol=v),
@@ -133,3 +138,43 @@ def test_library_refuses_bad_tolerance(entry, value):
     # the barycentric equalizer reported diag(1, 4, 9, 16) converged
     with pytest.raises(NonPositiveInput, match="must be a finite number >= 0"):
         _entry_points()[entry](value)
+
+
+def _seed_parameters():
+    """Every public callable of the package that takes a seed parameter."""
+    found = set()
+    for tree in _trees():
+        for name, fn in _public_callables(tree.body):
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            found |= {name for a in args if a.arg == "seed"}
+    return found
+
+
+def _seeded_entry_points():
+    """One n = 4 call per public function that takes a seed, with that seed s;
+    each call reaches the seed's use (the facet routes at n = 4 restart the
+    barycentric equalizer from seeded frames)."""
+    m = np.diag([1.0, 4.0, 9.0, 16.0])
+    e, y0 = Ellipsoid(m), np.full(4, 0.5)
+    x0 = e.B @ y0
+    return {
+        "random_orthogonal": lambda s: random_orthogonal(4, s),
+        "equalize_diagonal_barycentric": lambda s: equalize_diagonal_barycentric(m, seed=s),
+        "construct_vertex_eigen_S": lambda s: construct_vertex_eigen_S(e, x0, seed=s),
+        "construct_through_vertex": lambda s: construct_through_vertex(e, x0, seed=s),
+        "random_search_global": lambda s: random_search_global(e, "facet_area", 10, s),
+        "random_search_vertex": lambda s: random_search_vertex(e, x0, "facet_area", 10, s),
+        "explore_restricted_schur_horn":
+            lambda s: explore_restricted_schur_horn(m, y0, "facet_area", restarts=1, seed=s),
+    }
+
+
+def test_every_seed_taking_function_is_checked_below():
+    assert set(_seeded_entry_points()) == _seed_parameters()
+
+
+@pytest.mark.parametrize("entry", sorted(_seeded_entry_points()))
+def test_library_refuses_negative_seed(entry):
+    # default_rng(-1) raised numpy's ValueError wherever no check came first
+    with pytest.raises(NonPositiveInput, match="seed must be >= 0"):
+        _seeded_entry_points()[entry](-1)
