@@ -4,9 +4,10 @@ JSON in, JSON out. Matrices are {"n": int, "data": [[row], ...]}, vectors
 {"n": int, "data": [...]}, parallelepipeds {"n": int, "edges": [[edge], ...]}.
 Every result carries a run manifest (input hashes, seed, tolerances,
 version) so a run can be reproduced byte for byte. A subcommand takes only
-the tolerance flags it applies; they default to config.DEFAULT_TOLERANCES
-and must be finite and >= 0. Input entries must be finite, and output is
-strict JSON (no NaN or Infinity).
+the tolerance flags it applies, and the manifest records only those a run
+applied; they default to config.DEFAULT_TOLERANCES and must be finite and
+>= 0. Input entries must be finite, and output is strict JSON (no NaN or
+Infinity).
 
 Exit codes: 0 success, 1 validation error, 2 not converged, 3 bound
 violation found by a search.
@@ -31,14 +32,7 @@ from .constructors import (
 )
 from .equalizer import equalize_diagonal, equalize_diagonal_barycentric
 from .errors import InscribedExtremaError, NotConverged
-from .functionals import (
-    LOG_MAX,
-    LOG_MIN,
-    bound_L_max,
-    bound_S_max,
-    edge_length_total_edges,
-    facet_area_total_gram,
-)
+from .functionals import LOG_MAX, LOG_MIN, bound_L_max, bound_S_max, measure
 from .geometry import Ellipsoid, Parallelepiped, is_inscribed
 from .oracle import (
     explore_restricted_schur_horn,
@@ -205,6 +199,7 @@ def _cmd_construct(args):
                 e, x0, functional=functional, tol=args.equalizer_tol, seed=seed
             )
         elif functional == "edge_length":
+            del args.equalizer_tol  # the box applies no tolerance, so the manifest omits it
             q, cert = construct_L_max(e)
         else:
             q, cert = construct_S_max(e, tol=args.equalizer_tol)
@@ -221,19 +216,16 @@ def _cmd_verify(args):
     e = Ellipsoid(_load_matrix(args))
     p = _load_parallelepiped(args)
     rep = is_inscribed(e, p, tol=args.inscribed_tol)
-    edge_total = edge_length_total_edges(p).value
-    facet_total = facet_area_total_gram(p).value
-    l_bound = bound_L_max(e)
-    s_bound = bound_S_max(e)
+    (l, l_bound, l_gap), (s, s_bound, s_gap) = (measure(e, p, f) for f in FUNCTIONAL_NAMES.values())
     return 0, {
         "inscribed": rep.inscribed,
         "max_vertex_residual": rep.max_residual,
-        "L": edge_total,
-        "S": facet_total,
+        "L": l.value,
+        "S": s.value,
         "L_bound": l_bound,
         "S_bound": s_bound,
-        "L_gap": (l_bound - edge_total) / l_bound,
-        "S_gap": (s_bound - facet_total) / s_bound,
+        "L_gap": l_gap,
+        "S_gap": s_gap,
     }, None
 
 

@@ -4,8 +4,8 @@ Global maximizers on the ellipsoid's eigenbasis (for the edge length, the
 principal-axis box), and vertex-constrained maximizers through any boundary
 point: for the edge length (and both functionals at n = 2, where S = L) one
 pass of the pinning equalizer on A / tr A - y0 y0^T, and for the facet area
-at n >= 3 the seeded barycentric equalizer on U0^T C U0, which raises
-NotConverged with the best frame where no frame meets its condition.
+at n >= 3 the seeded barycentric equalizer on M / tr M, M = U0^T C U0, which
+raises NotConverged with the best frame where no frame meets its condition.
 """
 
 import math
@@ -67,8 +67,8 @@ class ExtremalCertificate:
 
 
 def _make_certificate(e, q, functional, x0=None):
-    """Certificate of q against the functional's sharp bound; x0 is the
-    prescribed all-plus vertex or None.
+    """Certificate of q, x0 being the prescribed all-plus vertex or None: the value,
+    bound and gap are functionals.measure of P = B U diag(lambda), as verify reads them.
 
     The equality residuals are the functional's equality conditions, read
     off the orthotope (U, lambda) and each relative to its scale. L attains
@@ -93,14 +93,11 @@ def _make_certificate(e, q, functional, x0=None):
         residuals["uniform_lambda"] = float(np.max(np.abs(q.lam * math.sqrt(e.n) / 2.0 - 1.0)))
         residuals["diagonal_equalization"] = float(np.max(np.abs(d - t)) / t)
     residuals["inscribed"] = geometry.is_inscribed(e, p).max_residual
-    bound = functionals.bound(e, functional)
-    if functional == "edge_length":
-        achieved = functionals.edge_length_total(e, q)
-    else:
-        achieved = functionals.facet_area_total_gram(p)
+    achieved, bound, gap = functionals.measure(e, p, functional)
+    if functional == "facet_area":
         factored = functionals.facet_area_total_factored(e, q)
         residuals["factored_vs_gram"] = abs(factored.value - achieved.value) / achieved.value
-    return ExtremalCertificate(achieved, bound, (bound - achieved.value) / bound, residuals, p)
+    return ExtremalCertificate(achieved, bound, gap, residuals, p)
 
 
 def construct_L_max(e):
@@ -166,17 +163,22 @@ def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     Uniform lambda = 2/sqrt(n) pins the all-plus vertex at x0 exactly for
     the frames U = U0 V with V 1 = 1, U0 the barycentric basis of y0. Such
     a frame attains S_max when diag(V^T M V) = tr(M)/n, M = U0^T C U0,
-    which the barycentric equalizer solves. Where it finds none (at n = 3
-    almost always, with a proven floor; sometimes at odd n or through
-    general points), NotConverged propagates with the best frame.
+    which the barycentric equalizer solves on M / tr M, so no scale of A
+    moves its threshold. Where it finds none (at n = 3 almost always, with
+    a proven floor; sometimes at odd n or through general points),
+    NotConverged propagates with the best frame, its variances in units of
+    (tr M)^2. At n = 2, where S = L, it is the edge-length route at tol.
     """
     if not valid_tolerance(tol):
         raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
+    if seed < 0:
+        raise NonPositiveInput("seed must be >= 0")
     if e.n == 2:
-        return construct_vertex_2d(e, x0, functional="facet_area")
+        return _pinned_vertex(e, x0, "facet_area", tol)
     vc = VertexConstraint.from_point(e, x0)
     u0 = equalizer.barycentric_basis(vc.y0)
-    rep = equalizer.equalize_diagonal_barycentric(u0.T @ e.C @ u0, tol=tol, seed=seed)
+    m = u0.T @ e.C @ u0
+    rep = equalizer.equalize_diagonal_barycentric(m / np.trace(m), tol=tol, seed=seed)
     q = geometry.SphereOrthotope(u0 @ rep.V, np.full(e.n, 2.0 / math.sqrt(e.n)))
     return q, _make_certificate(e, q, "facet_area", vc.x0)
 
@@ -208,6 +210,8 @@ def construct_through_vertex(
     both take any boundary point of any dimension."""
     if functional not in ("edge_length", "facet_area"):
         raise ValueError(f"unknown functional {functional!r}")
+    if seed < 0:
+        raise NonPositiveInput("seed must be >= 0")
     if functional == "edge_length":
         return construct_vertex_eigen_L(e, x0, tol=tol)
     return construct_vertex_eigen_S(e, x0, tol=tol, seed=seed)

@@ -11,6 +11,8 @@ S and its bound are formed in logs: exact wherever float64 holds S, else OutOfRa
 
 ``evaluate`` is the one implementation of L and the factored S, for one
 orthotope or a stack on trailing axes (U (n, n, ...), lambda (n, ...)).
+``measure`` reads a parallelepiped: L from its edge lengths, S by the Gram
+route, with the bound and the relative gap; certificates and verify quote it.
 The sampling helpers (phi, beta_product_sum, maclaurin_gap) accept a
 vector or a batch along the leading axes.
 """
@@ -83,9 +85,11 @@ def edge_length_total(e, q):
     return _orthotope_value(e, q, "edge_length")
 
 
-def edge_length_total_edges(p):
-    """L = 2^(n-1) sum ||v_i|| straight from the edge vectors."""
-    lens = np.linalg.norm(p.V, axis=0)
+def _edge_value(p):
+    """L = 2^(n-1) sum ||v_i|| and condition max / min ||v_i|| off P's edges, scaled by powers
+    of two (no square overflows) and summed in row order whatever V's memory layout."""
+    k = np.frexp(np.max(np.abs(p.V), axis=0))[1]
+    lens = np.ldexp(np.linalg.norm(np.ascontiguousarray(np.ldexp(p.V, -k)), axis=0), k)
     value = 2.0 ** (p.n - 1) * float(np.sum(lens))
     return FunctionalValue(value, "edge_length", float(lens.max() / lens.min()))
 
@@ -96,8 +100,7 @@ def facet_area_total_gram(p):
     r = p.sigma / p.sigma[0]
     rows = float(np.sum(np.sqrt(np.sum((p.Wt / r[:, None]) ** 2, axis=0))))
     log_s = (p.n - 1) * math.log(p.sigma[0]) + float(np.sum(np.log(r))) + math.log(2.0 * rows)
-    lens = np.linalg.norm(p.V, axis=0)
-    return FunctionalValue(exp_in_range(log_s, "S"), "facet_area", float(lens.max() / lens.min()))
+    return FunctionalValue(exp_in_range(log_s, "S"), "facet_area", _edge_value(p).condition)
 
 
 def facet_area_total_factored(e, q):
@@ -125,6 +128,15 @@ def bound(e, functional):
     if functional == "facet_area":
         return bound_S_max(e)
     raise ValueError(f"unknown functional {functional!r}")
+
+
+def measure(e, p, functional):
+    """(value, bound(e, functional), (bound - value) / bound) for P in E, the value read
+    off P's edges (L = 2^(n-1) sum ||v_i||, S by facet_area_total_gram): the one
+    reading that a certificate quotes and verify reports."""
+    b = bound(e, functional)
+    value = _edge_value(p) if functional == "edge_length" else facet_area_total_gram(p)
+    return value, b, (b - value.value) / b
 
 
 def phi(lam):

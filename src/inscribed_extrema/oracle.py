@@ -219,6 +219,8 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
         raise DimensionTooSmall("the explorer needs n >= 2")
     if restarts < 0:
         raise NonPositiveInput("restarts must be >= 0")
+    if seed < 0:
+        raise NonPositiveInput("seed must be >= 0")
     e = geometry.Ellipsoid(a)
     y0 = linalg.unit_vector(y0)
     if y0.size != n:

@@ -130,6 +130,93 @@ def test_construct_facet_applies_tol_equalizer(tmp_path, capsys):
     assert loose["equality_residuals"]["diagonal_equalization"] > 0.5
 
 
+def test_global_edge_manifest_omits_unapplied_tol_equalizer(tmp_path, capsys):
+    # the principal-axis box applies no tolerance: --tol-equalizer moves no byte
+    m = write_matrix(tmp_path, "a.json", np.diag([1.0, 4.0, 9.0, 16.0]).tolist())
+    argv = ["construct", "--matrix", m, "--functional", "edge"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["manifest"]["tolerances"] == {}
+    code, loose, _ = run_cli(capsys, argv + ["--tol-equalizer", "0.5"])
+    assert code == 0
+    assert loose == out
+
+
+def test_edge_box_condition_is_its_edge_ratio(tmp_path, capsys):
+    # condition is P's longest over shortest edge for both functionals: the box
+    # of diag(1, 4, 9) has edges 2 w_i / sqrt(tr A), lambda only 2 sqrt(w_i / tr A)
+    m = write_matrix(tmp_path, "a.json", np.diag([1.0, 4.0, 9.0]).tolist())
+    code, out, _ = run_cli(capsys, ["construct", "--matrix", m, "--functional", "edge"])
+    assert code == 0
+    assert json.loads(out)["result"]["certificate"]["condition"] == 9.0
+
+
+def _construct_and_verify(tmp_path, capsys, m, argv):
+    """The certificate of construct on m and the result of verify on the file it wrote,
+    or None when construct exits 2. Each call writes new files."""
+    built = tmp_path / f"built-{len(list(tmp_path.iterdir()))}.json"
+    code, _, err = run_cli(capsys, ["construct", "--matrix", m, "--output", str(built)] + argv)
+    if code == 2:
+        return None
+    assert code == 0, err
+    with open(built) as fh:
+        doc = json.load(fh)["result"]
+    pe = tmp_path / f"p-{built.stem}.json"
+    pe.write_text(json.dumps(doc["parallelepiped"]))
+    code, out, err = run_cli(capsys, ["verify", "--matrix", m, "--parallelepiped", str(pe)])
+    assert code == 0, err
+    return doc["certificate"], json.loads(out)["result"]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_verify_reproduces_the_certificate(tmp_path, capsys, n):
+    # a certificate quotes what verify reads off the written edges: value,
+    # bound and gap are equal, not close. S scales as s^((n - 1) / 2), so the
+    # scale shrinks with n to keep it in float64. The facet route through a
+    # general point gets cond 4 and may exit 2 (always at n = 3)
+    rng = np.random.default_rng((n, 30))
+    k = min(150, 450 // (n - 1))
+    checked = []
+    for scale in (10.0**-k, 1.0, 10.0**k):
+        for cond in (1e10, 4.0):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            a = scale * (q * np.logspace(0.0, math.log10(cond), n)) @ q.T
+            a = 0.5 * (a + a.T)
+            name = f"{scale:.0e}-{cond:.0e}"
+            m = write_matrix(tmp_path, f"a-{name}.json", a.tolist())
+            y = rng.standard_normal(n)
+            x0 = Ellipsoid(a).B @ (y / np.linalg.norm(y))
+            v = write_vector(tmp_path, f"x0-{name}.json", x0)
+            runs = [["--functional", "edge"], ["--functional", "facet"],
+                    ["--functional", "edge", "--vertex", v]]
+            if cond == 4.0:
+                runs.append(["--functional", "facet", "--vertex", v, "--seed", "0"])
+            for argv in runs:
+                pair = _construct_and_verify(tmp_path, capsys, m, argv)
+                if pair is None:
+                    assert "--seed" in argv, argv  # only the facet route through a vertex
+                    continue
+                cert, res = pair
+                key = "L" if cert["functional"] == "edge_length" else "S"
+                assert res[key] == cert["achieved"], argv
+                assert res[key + "_bound"] == cert["bound"], argv
+                assert res[key + "_gap"] == cert["relative_gap"], argv
+                checked.append(argv)
+    facet_vertex = sum("--seed" in argv for argv in checked)
+    assert len(checked) - facet_vertex == 18
+    assert facet_vertex >= (0 if n == 3 else 2)
+
+
+def test_construct_and_verify_where_edge_squares_overflow(tmp_path, capsys):
+    # the box of 5e307 diag(1, 2) has edges near 1.6e154, whose squares
+    # overflow; L, S and both bounds fit, and no warning is raised
+    m = write_matrix(tmp_path, "a.json", (5e307 * np.diag([1.0, 2.0])).tolist())
+    cert, res = _construct_and_verify(tmp_path, capsys, m, ["--functional", "edge"])
+    assert res["L"] == cert["achieved"] and res["L_gap"] == cert["relative_gap"]
+    assert abs(cert["relative_gap"]) <= 1e-12
+    assert abs(res["S_gap"]) <= 1e-12
+
+
 def test_construct_then_verify_past_vertex_enumeration_cap(tmp_path, capsys):
     m = write_matrix(tmp_path, "ball.json", np.eye(24).tolist())
     code, out, _ = run_cli(capsys, ["construct", "--matrix", m, "--functional", "facet"])
@@ -495,7 +582,7 @@ def test_manifest_tolerances_match_the_flags(tmp_path, capsys):
     # subcommand -> (arguments of a valid run, the tolerance flags it applies)
     runs = {
         "bounds": ([], []),
-        "construct": (["--functional", "edge", "--seed", "0"], ["--tol-equalizer"]),
+        "construct": (["--functional", "facet", "--seed", "0"], ["--tol-equalizer"]),
         "verify": (["--parallelepiped", str(pe)], ["--tol-inscribed"]),
         "search": (["--functional", "edge", "--trials", "5", "--seed", "0"],
                    ["--tol-bound-slack"]),
@@ -544,18 +631,14 @@ def test_bad_tolerance_rejected(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize("argv, scale", [
     (["equalize", "--barycentric", "--seed", "0"], 1e200),
-    (["construct", "--functional", "facet", "--seed", "0"], 1e-250),
-], ids=["equalize-1e200", "construct-1e-250"])
+], ids=["equalize-1e200"])
 def test_barycentric_threshold_overflow_exits_1(tmp_path, capsys, argv, scale):
     # the squared threshold leaves float64 once tol times its scale, 1 + |t|
     # or at n = 3 max|M|, passes about 1e154: one line naming it, not a
-    # traceback, and never an infinite threshold
-    a = np.diag([1.0, 4.0, 9.0, 16.0])
-    if argv[0] == "equalize":
-        a = a[:3, :3] + np.ones((3, 3))
+    # traceback, and never an infinite threshold. The facet route through a
+    # vertex solves on M / tr M, so only equalize reaches it
+    a = np.diag([1.0, 4.0, 9.0]) + np.ones((3, 3))
     m = write_matrix(tmp_path, "a.json", (scale * a).tolist())
-    if argv[0] == "construct":
-        argv = argv + ["--vertex", write_vector(tmp_path, "x0.json", [scale**0.5, 0.0, 0.0, 0.0])]
     code, out, err = run_cli(capsys, argv[:1] + ["--matrix", m] + argv[1:])
     assert code == 1
     assert out == ""

@@ -335,7 +335,7 @@ def test_vertex_eigen_S_random_axes(n):
 def test_vertex_eigen_S_n3_general_point_runs_solver():
     # off an eigenvector the ones vector is no eigenvector of M = U0^T C U0;
     # the n = 3 closed form still needs no solver step and reports the least
-    # variance on the orbit, a floor far above the threshold
+    # variance on the orbit of M / tr M, a floor far above the threshold
     e = Ellipsoid(np.diag([1.0, 4.0, 9.0]))
     x0 = np.array([0.6, 0.8, 0.0])
     x0 /= np.sqrt(x0 @ e.C @ x0)
@@ -346,8 +346,8 @@ def test_vertex_eigen_S_n3_general_point_runs_solver():
     m = u0.T @ e.C @ u0
     assert rep.iterations == 0
     assert np.max(np.abs(rep.V @ np.ones(3) - 1.0)) <= 1e-12
-    assert rep.final_variance <= (1.0 + 1e-9) * grid_floor(m)
-    assert rep.final_variance < orbit_psi(m, np.eye(3))
+    assert rep.final_variance <= (1.0 + 1e-9) * grid_floor(m / np.trace(m))
+    assert rep.final_variance < orbit_psi(m / np.trace(m), np.eye(3))
 
 
 @pytest.mark.parametrize("c", [1e-150, 1e-6, 1.0, 1e6, 1e150])

@@ -23,7 +23,7 @@ from inscribed_extrema import (
     orthotope_to_parallelepiped,
     random_orthogonal,
 )
-from inscribed_extrema.functionals import edge_length_total_edges
+from inscribed_extrema.functionals import measure
 
 REL = 1e-12
 LOG10 = math.log(10.0)
@@ -45,7 +45,7 @@ def values(e):
         "S_max": bound_S_max(e),
         "L_construct": c_l.achieved.value,
         "S_construct": c_s.achieved.value,
-        "L_verify": edge_length_total_edges(p).value,
+        "L_verify": measure(e, p, "edge_length")[0].value,
         "S_verify": facet_area_total_gram(p).value,
     }, p
 
@@ -195,3 +195,34 @@ def test_explorer_residual_is_scale_free(tmp_path, capsys, functional, k):
             assert abs(res["residual"] / tr - float(np.linalg.norm(r))) <= 1e-12, n
             rel.append(res["residual"] / tr)
         assert abs(rel[1] - rel[0]) <= 1e-12, (n, rel)
+
+
+def test_facet_vertex_construction_is_scale_free(tmp_path, capsys):
+    # the barycentric equalizer solves on M / tr M, M = U0^T C U0: under an
+    # absolute threshold (tol (1 + |t|))^2, A 1e20 passed the identity frame
+    # untouched (gaps up to 0.017, exit 0) and A 1e-170 left float64 (exit 1)
+    def construct(a, name):
+        e = Ellipsoid(a)
+        x0 = math.sqrt(e.eigenvalues[0]) * e.eigenvectors[:, 0]
+        m, v = tmp_path / f"a-{name}.json", tmp_path / f"x0-{name}.json"
+        m.write_text(json.dumps({"n": 4, "data": e.A.tolist()}))
+        v.write_text(json.dumps({"n": 4, "data": x0.tolist()}))
+        code = cli.main(["construct", "--matrix", str(m), "--functional", "facet",
+                         "--vertex", str(v), "--seed", "0"])
+        out, err = capsys.readouterr()
+        assert code in (0, 2), err
+        return code, json.loads(out)["result"].get("certificate")
+
+    rng = np.random.default_rng(4)
+    for i in range(12):
+        a = random_spd(4, rng)
+        code, cert = construct(a, f"{i}")
+        for k in (-20, 20):
+            got_code, got = construct(10.0**k * a, f"{i}-{k}")
+            assert got_code == code, (i, k)
+            if code == 0:
+                assert abs(got["relative_gap"]) <= REL, (i, k)
+                assert abs(got["relative_gap"] - cert["relative_gap"]) <= REL, (i, k)
+    code, cert = construct(1e-170 * np.diag([1.0, 4.0, 9.0, 16.0]), "tiny")
+    assert code == 0
+    assert abs(cert["relative_gap"]) <= REL

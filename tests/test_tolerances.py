@@ -153,11 +153,22 @@ def _seed_parameters():
 def _seeded_entry_points():
     """One n = 4 call per public function that takes a seed, with that seed s;
     each call reaches the seed's use (the facet routes at n = 4 restart the
-    barycentric equalizer from seeded frames)."""
+    barycentric equalizer from seeded frames). The routes that draw nothing
+    are called too: at n = 2 and for the edge length."""
     m = np.diag([1.0, 4.0, 9.0, 16.0])
     e, y0 = Ellipsoid(m), np.full(4, 0.5)
     x0 = e.B @ y0
+    e2, y2 = Ellipsoid(np.diag([1.0, 4.0])), np.array([0.6, 0.8])
+    x2 = e2.B @ y2
     return {
+        "construct_vertex_eigen_S n=2": lambda s: construct_vertex_eigen_S(e2, x2, seed=s),
+        "construct_through_vertex n=2": lambda s: construct_through_vertex(e2, x2, seed=s),
+        "construct_through_vertex edge":
+            lambda s: construct_through_vertex(e, x0, "edge_length", seed=s),
+        "explore_restricted_schur_horn edge":
+            lambda s: explore_restricted_schur_horn(m, y0, "edge_length", seed=s),
+        "explore_restricted_schur_horn n=2":
+            lambda s: explore_restricted_schur_horn(e2.A, y2, "facet_area", seed=s),
         "random_orthogonal": lambda s: random_orthogonal(4, s),
         "equalize_diagonal_barycentric": lambda s: equalize_diagonal_barycentric(m, seed=s),
         "construct_vertex_eigen_S": lambda s: construct_vertex_eigen_S(e, x0, seed=s),
@@ -170,7 +181,7 @@ def _seeded_entry_points():
 
 
 def test_every_seed_taking_function_is_checked_below():
-    assert set(_seeded_entry_points()) == _seed_parameters()
+    assert {name.split()[0] for name in _seeded_entry_points()} == _seed_parameters()
 
 
 @pytest.mark.parametrize("entry", sorted(_seeded_entry_points()))
@@ -178,3 +189,14 @@ def test_library_refuses_negative_seed(entry):
     # default_rng(-1) raised numpy's ValueError wherever no check came first
     with pytest.raises(NonPositiveInput, match="seed must be >= 0"):
         _seeded_entry_points()[entry](-1)
+
+
+def test_planar_facet_vertex_route_applies_its_tol():
+    # S = L in the plane, so the facet route through a vertex is the edge
+    # route at the tol it takes; it used to pin at the default and report gap 0
+    e = Ellipsoid(np.diag([1.0, 4.0]))
+    x0 = np.array([0.6, 1.6]) / math.sqrt(0.6**2 + 1.6**2 / 4.0)
+    _, edge = construct_vertex_eigen_L(e, x0, tol=0.9)
+    _, facet = construct_vertex_eigen_S(e, x0, tol=0.9)
+    assert edge.relative_gap > 0.01
+    assert facet.relative_gap == pytest.approx(edge.relative_gap, rel=1e-12)
