@@ -25,7 +25,6 @@ from .equalizer import (
     equalize_diagonal_barycentric,
 )
 from .errors import (
-    ConstraintViolated,
     DegenerateParallelepiped,
     DegenerateVertex,
     DimensionMismatch,
@@ -42,17 +41,12 @@ from .errors import (
 )
 from .functionals import (
     FunctionalValue,
-    beta_product_sum,
     bound_L_max,
     bound_S_max,
     diag_quadratic,
     edge_length_total,
     facet_area_total_factored,
     facet_area_total_gram,
-    maclaurin_gap,
-    phi,
-    phi_max,
-    planar_identity_check,
 )
 from .geometry import (
     Ellipsoid,

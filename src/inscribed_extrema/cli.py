@@ -73,12 +73,15 @@ def _read_json(args, name):
 
 
 def _load_array(args, name, key, layout):
-    """(n, doc[key]) from the {"n": int, key: layout} file args.<name>; entries must be finite."""
+    """(n, doc[key]) from the {"n": int, key: layout} file args.<name>; n must be a JSON
+    integer and the entries finite."""
     path = getattr(args, name)
     doc = _read_json(args, name)
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         a = np.asarray(doc[key], dtype=float)
+        if type(n) is not int:  # not a bool, a string or a float
+            raise TypeError(f"n = {n!r} is not an integer")
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: expected {{'n': int, '{key}': {layout}}} ({exc})")
     if not np.all(np.isfinite(a)):

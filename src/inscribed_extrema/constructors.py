@@ -66,6 +66,12 @@ class ExtremalCertificate:
         }
 
 
+def _unit_trace(a):
+    """A / tr A, with tr A formed scaled so that it cannot overflow."""
+    a, _ = linalg.even_pow2_scaled(a)
+    return a / np.trace(a)
+
+
 def _make_certificate(e, q, functional, x0=None):
     """Certificate of q, x0 being the prescribed all-plus vertex or None: the value,
     bound and gap are functionals.measure of P = B U diag(lambda), as verify reads them.
@@ -85,7 +91,7 @@ def _make_certificate(e, q, functional, x0=None):
         vertex = np.linalg.norm(geometry.all_plus_vertex(p) - x0) / np.linalg.norm(x0)
         residuals["vertex"] = float(vertex)
     if functional == "edge_length" or e.n == 2:
-        g = functionals.diag_quadratic(q.U, e.A / np.trace(e.A))
+        g = functionals.diag_quadratic(q.U, _unit_trace(e.A))
         residuals["cauchy_schwarz"] = float(np.linalg.norm(g - q.lam * q.lam / 4.0))
     else:
         t = float(np.trace(e.C)) / e.n
@@ -106,7 +112,7 @@ def construct_L_max(e):
     U = Q and lambda = 2 sqrt(w / sum w) give P = B U diag(lambda) = 2 Q diag(w) / sqrt(tr A).
     Its vertices x = sum +-w_i q_i / sqrt(sum w) have x^T A^-1 x = 1, and L = 2^n sqrt(tr A).
     """
-    w = e.eigenvalues
+    w, _ = linalg.even_pow2_scaled(e.eigenvalues)
     q = geometry.SphereOrthotope(e.eigenvectors, 2.0 * np.sqrt(w / w.sum()))
     return q, _make_certificate(e, q, "edge_length")
 
@@ -141,7 +147,7 @@ def _pinned_vertex(e, x0, functional, tol):
     """The edge-bound maximizer through x0, certified for functional (the
     two coincide at n = 2, where S = L)."""
     vc = VertexConstraint.from_point(e, x0)
-    n_mat = e.A / np.trace(e.A) - np.outer(vc.y0, vc.y0)
+    n_mat = _unit_trace(e.A) - np.outer(vc.y0, vc.y0)
     v = equalizer.equalize_diagonal(n_mat, tol=tol).V
     q = geometry.SphereOrthotope(*vertex_lambdas(v, vc.y0))
     return q, _make_certificate(e, q, functional, vc.x0)

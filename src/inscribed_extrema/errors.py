@@ -41,10 +41,6 @@ class DegenerateParallelepiped(InscribedExtremaError):
     pass
 
 
-class ConstraintViolated(InscribedExtremaError):
-    pass
-
-
 class NotConverged(InscribedExtremaError):
     """Iteration budget exhausted, or the target is provably unreachable.
 

@@ -1,5 +1,5 @@
-"""Total edge length L, total facet area S, their sharp bounds, and the
-auxiliary inequality quantities used by the property suites.
+"""Total edge length L, total facet area S, their sharp bounds, and the one
+reading of a parallelepiped that certificates and verify quote.
 
 For an orthotope (U, lambda) on the unit sphere mapped into E by B:
     L = 2^(n-1) * sum_i lambda_i * sqrt(u_i^T A u_i)
@@ -13,8 +13,6 @@ S and its bound are formed in logs: exact wherever float64 holds S, else OutOfRa
 orthotope or a stack on trailing axes (U (n, n, ...), lambda (n, ...)).
 ``measure`` reads a parallelepiped: L from its edge lengths, S by the Gram
 route, with the bound and the relative gap; certificates and verify quote it.
-The sampling helpers (phi, beta_product_sum, maclaurin_gap) accept a
-vector or a batch along the leading axes.
 """
 
 import math
@@ -23,15 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    ConstraintViolated,
-    DimensionMismatch,
-    NonPositiveInput,
-    OutOfRange,
-    WrongDimension,
-)
+from .errors import DimensionMismatch, OutOfRange
 
-CONSTRAINT_TOL = 1e-10
 LOG_MIN, LOG_MAX = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
 
 
@@ -109,8 +100,10 @@ def facet_area_total_factored(e, q):
 
 
 def bound_L_max(e):
-    """Sharp upper bound 2^n sqrt(tr A) for the total edge length."""
-    return 2.0**e.n * float(np.sqrt(np.trace(e.A)))
+    """Sharp upper bound 2^n sqrt(tr A) for the total edge length; tr A is formed
+    scaled, so the bound is finite wherever float64 holds it."""
+    a, k = linalg.even_pow2_scaled(e.A)
+    return 2.0**e.n * math.ldexp(math.sqrt(np.trace(a)), k)
 
 
 def bound_S_max(e):
@@ -138,56 +131,3 @@ def measure(e, p, functional):
     value = _edge_value(p) if functional == "edge_length" else facet_area_total_gram(p)
     return value, b, (b - value.value) / b
 
-
-def phi(lam):
-    """Phi(lambda) = prod(lambda) * sqrt(sum(lambda^-2)).
-
-    Maximized at lambda_i = 2/sqrt(n) subject to sum(lambda^2) = 4, where it
-    equals 2^(n-1) n^((2-n)/2). Batch-aware along the last axis.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0):
-        raise NonPositiveInput("phi requires strictly positive entries")
-    return np.prod(lam, axis=-1) * np.sqrt(np.sum(lam**-2.0, axis=-1))
-
-
-def phi_max(n):
-    return 2.0 ** (n - 1) * n ** ((2 - n) / 2.0)
-
-
-def beta_product_sum(beta):
-    """(prod beta) * (sum 1/beta) for beta on the unit sphere, all entries positive.
-
-    The caller asserts the bound n^((3-n)/2). Batch-aware along the last axis.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if np.any(beta <= 0.0):
-        raise ConstraintViolated("beta entries must be positive")
-    s = np.sum(beta**2, axis=-1)
-    if np.any(np.abs(s - 1.0) > CONSTRAINT_TOL):
-        raise ConstraintViolated("sum(beta^2) must equal 1")
-    return np.prod(beta, axis=-1) * np.sum(1.0 / beta, axis=-1)
-
-
-def maclaurin_gap(x):
-    """prod(x) - mean(x) for positive x with mean(1/x) = 1; nonnegative.
-
-    Batch-aware along the last axis.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ConstraintViolated("entries must be positive")
-    hm = np.mean(1.0 / x, axis=-1)
-    if np.any(np.abs(hm - 1.0) > CONSTRAINT_TOL):
-        raise ConstraintViolated("mean(1/x) must equal 1")
-    return np.prod(x, axis=-1) - np.mean(x, axis=-1)
-
-
-def planar_identity_check(a):
-    """For 2x2 SPD A return (det A * tr A^-1, tr A); the two agree identically."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2, 2):
-        raise WrongDimension("identity holds for n=2 only")
-    det = float(np.linalg.det(a))
-    tr_inv = float(np.trace(np.linalg.inv(a)))
-    return det * tr_inv, float(np.trace(a))

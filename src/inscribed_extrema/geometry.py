@@ -21,7 +21,6 @@ from .errors import (
 )
 
 LAMBDA_SUM_TOL = 1e-10
-EDGE_COSINE_TOL = 1e-8  # max |cos| between edges of W = B^-1 V that still counts as orthogonal
 SIGMA_REL_FLOOR = 1e-12
 
 
@@ -145,7 +144,8 @@ def orthotope_to_parallelepiped(e, q):
 def parallelepiped_to_orthotope(e, p):
     """Invert the reduction: W = B^{-1}V must have orthogonal columns and sum ||w_i||^2 = 4.
 
-    Raises NotOrthotope when some pair of columns fails orthogonality (the
+    Raises NotOrthotope when the unit columns of W fail SphereOrthotope's
+    orthogonality check, linalg.ORTHO_TOL on their cosines (the
     parallelepiped cannot be inscribed, by the classification), NotInscribed
     when the lambda constraint fails.
     """
@@ -153,13 +153,7 @@ def parallelepiped_to_orthotope(e, p):
         raise DimensionMismatch("ellipsoid and parallelepiped dimensions differ")
     w = e.Binv @ p.V
     lam = np.linalg.norm(w, axis=0)
-    g = w.T @ w
-    cosines = g / np.outer(lam, lam)
-    np.fill_diagonal(cosines, 0.0)
-    worst = float(np.max(np.abs(cosines)))
-    if worst > EDGE_COSINE_TOL:
-        raise NotOrthotope(f"edge directions not orthogonal (max |cos| = {worst:.3e})")
-    s = float(np.sum(lam**2))
-    if abs(s - 4.0) > LAMBDA_SUM_TOL:
-        raise NotInscribed(f"sum(lambda^2) = {s!r}, expected 4")
-    return SphereOrthotope(w / lam, lam)
+    try:
+        return SphereOrthotope(w / lam, lam)
+    except DimensionMismatch as exc:  # the frame is square and matches lambda: not orthogonal
+        raise NotOrthotope(f"edge directions not orthogonal: {exc}") from None

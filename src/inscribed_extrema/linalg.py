@@ -122,6 +122,15 @@ def haar_from_gaussian(g):
     return np.ascontiguousarray(q[..., :t]).reshape(g.shape)
 
 
+def even_pow2_scaled(x):
+    """(x 2^(-2k), k) for the integer k that brings max |x| into [1/2, 2). The scaling is
+    exact wherever no entry leaves the normal range, so a sum that overflows float64
+    can be formed scaled: x / sum x keeps its bits, and sqrt(sum x) = 2^k sqrt(sum of the
+    scaled x), the exponent being even."""
+    k = math.frexp(float(np.max(np.abs(x))))[1] // 2
+    return np.ldexp(x, -2 * k), k
+
+
 def lane_sum(x):
     """Sum over axis 0 in row order. np.sum pairs a lone lane's terms (from 8 rows
     on) but adds row by row across lanes, so a frame's bits would follow its stack."""

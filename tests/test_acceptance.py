@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 from conftest import record_criterion
+from lemmas import beta_product_sum, maclaurin_gap, phi, phi_max
 
 from inscribed_extrema import (
     Ellipsoid,
@@ -30,15 +31,11 @@ from inscribed_extrema import (
     facet_area_total_factored,
     facet_area_total_gram,
     is_inscribed,
-    maclaurin_gap,
     orthotope_to_parallelepiped,
     parallelepiped_to_orthotope,
-    phi,
-    phi_max,
     random_orthogonal,
     random_search_global,
 )
-from inscribed_extrema.functionals import beta_product_sum
 
 SEED_BASE = 1000  # fixed before any acceptance runs; substreams are (SEED_BASE + k, n)
 

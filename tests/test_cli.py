@@ -670,6 +670,17 @@ def test_verify_malformed_parallelepiped_rejected(tmp_path, capsys, doc):
     assert "expected {'n': int, 'edges'" in err
 
 
+@pytest.mark.parametrize("n", [1.5, 1.0, True, "1"], ids=["fraction", "float", "bool", "string"])
+def test_non_integer_n_rejected(tmp_path, capsys, n):
+    # int() used to accept each of these as n = 1
+    m = tmp_path / "a.json"
+    m.write_text(json.dumps({"n": n, "data": [[1.0]]}))
+    code, out, err = run_cli(capsys, ["bounds", "--matrix", str(m)])
+    assert code == 1
+    assert out == ""
+    assert "expected {'n': int, 'data'" in err
+
+
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e999"])
 def test_non_finite_inputs_rejected(tmp_path, capsys, text):
     bad_matrix = tmp_path / "a.json"

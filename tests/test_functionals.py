@@ -1,26 +1,28 @@
 import numpy as np
 import pytest
+from lemmas import (
+    ConstraintViolated,
+    beta_product_sum,
+    maclaurin_gap,
+    phi,
+    phi_max,
+    planar_identity_check,
+)
 from numpy.testing import assert_allclose
 
 from inscribed_extrema import (
-    ConstraintViolated,
     Ellipsoid,
     NonPositiveInput,
     Parallelepiped,
     SphereOrthotope,
     WrongDimension,
-    beta_product_sum,
     bound_L_max,
     bound_S_max,
     diag_quadratic,
     edge_length_total,
     facet_area_total_factored,
     facet_area_total_gram,
-    maclaurin_gap,
     orthotope_to_parallelepiped,
-    phi,
-    phi_max,
-    planar_identity_check,
     random_orthogonal,
 )
 

@@ -181,6 +181,11 @@ def test_parallelepiped_to_orthotope_rejects_skew():
     v *= 2.0 / np.sqrt(3.0)
     with pytest.raises((NotOrthotope, NotInscribed)):
         parallelepiped_to_orthotope(e, Parallelepiped(v))
+    v = np.eye(3)
+    v[0, 1] = 1e-9  # cosine 1e-9, above linalg.ORTHO_TOL; sum ||w_i||^2 = 4 to rounding
+    v *= 2.0 / np.sqrt(3.0)
+    with pytest.raises(NotOrthotope):
+        parallelepiped_to_orthotope(e, Parallelepiped(v))
 
 
 def test_parallelepiped_rejects_singular_edges():

@@ -18,6 +18,7 @@ from inscribed_extrema import (
     bound_S_max,
     construct_L_max,
     construct_S_max,
+    diag_quadratic,
     facet_area_total_gram,
     is_inscribed,
     orthotope_to_parallelepiped,
@@ -226,3 +227,38 @@ def test_facet_vertex_construction_is_scale_free(tmp_path, capsys):
     code, cert = construct(1e-170 * np.diag([1.0, 4.0, 9.0, 16.0]), "tiny")
     assert code == 0
     assert abs(cert["relative_gap"]) <= REL
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_edge_requests_where_tr_a_overflows(tmp_path, capsys, n):
+    # tr A of 1e308 Q diag(0.5..1) Q^T overflows while L_max (about 1e155)
+    # fits: the global and vertex constructions and the search form tr A
+    # scaled by a power of two, so none sees an infinite bound or lambda
+    q = random_orthogonal(n, 7)
+    a = 1e308 * (q * np.linspace(0.5, 1.0, n)) @ q.T
+    a = 0.5 * a + 0.5 * a.T
+    e = Ellipsoid(a)
+    x0 = math.sqrt(e.eigenvalues[0]) * e.eigenvectors[:, 0]
+    for vertex in (None, x0):
+        cert = _cli_result(tmp_path, capsys, a, ["construct", "--functional", "edge"], vertex)
+        cert = cert["certificate"]
+        assert abs(cert["relative_gap"]) <= REL
+        assert cert["equality_residuals"]["cauchy_schwarz"] <= REL
+        search = ["search", "--functional", "edge", "--trials", "100", "--seed", "0"]
+        assert _cli_result(tmp_path, capsys, a, search)["bound"] == cert["bound"]
+
+
+def test_scaled_trace_keeps_the_bits_in_range():
+    # where tr A fits, the scaled forms of sqrt(tr A), w / sum w and A / tr A
+    # give the plain formulas' bits: the same bound, box and certificate
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n = int(rng.integers(2, 11))
+        e = Ellipsoid(10.0 ** rng.uniform(-150, 150) * random_spd(n, rng, 1e-5, 1e5))
+        assert bound_L_max(e) == 2.0**n * float(np.sqrt(np.trace(e.A)))
+        w = e.eigenvalues
+        q, cert = construct_L_max(e)
+        assert np.array_equal(q.lam, 2.0 * np.sqrt(w / w.sum()))
+        g = diag_quadratic(q.U, e.A / np.trace(e.A))
+        residual = float(np.linalg.norm(g - q.lam * q.lam / 4.0))
+        assert cert.equality_residuals["cauchy_schwarz"] == residual
