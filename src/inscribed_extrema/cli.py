@@ -35,6 +35,7 @@ from .errors import InscribedExtremaError, NotConverged
 from .functionals import LOG_MAX, LOG_MIN, bound_L_max, bound_S_max, measure
 from .geometry import Ellipsoid, Parallelepiped, is_inscribed
 from .oracle import (
+    EXPLORER_RESTARTS,
     explore_restricted_schur_horn,
     random_search_global,
     random_search_vertex,
@@ -179,13 +180,14 @@ def _refused(exc, result):
 
 def _cmd_bounds(args):
     e = Ellipsoid(_load_matrix(args))
+    _, t, k = e.unit_trace()
+    # tr A = t 4^k and det A can leave float64 where the bounds do not; log det A cannot
     return 0, {
         "n": e.n,
         "L_max": bound_L_max(e),
         "S_max": bound_S_max(e),
-        "tr_A": float(np.trace(e.A)),
-        "tr_C": float(np.trace(e.C)),
-        # det A can leave float64 where the bounds do not; its log cannot
+        "tr_A": math.ldexp(t, 2 * k) if math.frexp(t)[1] + 2 * k <= sys.float_info.max_exp else None,
+        "tr_C": e.tr_C,
         "det_A": math.exp(e.log_det) if LOG_MIN <= e.log_det <= LOG_MAX else None,
         "log_det_A": e.log_det,
     }, None
@@ -338,7 +340,7 @@ def build_parser():
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--vertex", required=True, help="unit vector y0 (JSON vector file)")
     sp.add_argument("--functional", choices=("edge", "facet"), required=True)
-    sp.add_argument("--restarts", type=int, default=8)
+    sp.add_argument("--restarts", type=int, default=EXPLORER_RESTARTS)
     sp.add_argument("--seed", type=int, default=None)
     _add_tolerance_flags(sp)
     sp.set_defaults(run=_cmd_explore_rsh)

@@ -40,7 +40,7 @@ class VertexConstraint:
         if x0.size != e.n:
             raise DimensionMismatch("vertex dimension does not match the ellipsoid")
         res = e.boundary_residual(x0)
-        if res > BOUNDARY_TOL:
+        if not res <= BOUNDARY_TOL:  # NaN fails it too
             raise NotOnBoundary(f"|x0^T C x0 - 1| = {res:.3e} > {BOUNDARY_TOL:.1e}")
         z = e.eigen_coordinates(x0)
         y0 = e.eigenvectors @ (z / np.linalg.norm(z))
@@ -66,12 +66,6 @@ class ExtremalCertificate:
         }
 
 
-def _unit_trace(a):
-    """A / tr A, with tr A formed scaled so that it cannot overflow."""
-    a, _ = linalg.even_pow2_scaled(a)
-    return a / np.trace(a)
-
-
 def _make_certificate(e, q, functional, x0=None):
     """Certificate of q, x0 being the prescribed all-plus vertex or None: the value,
     bound and gap are functionals.measure of P = B U diag(lambda), as verify reads them.
@@ -91,10 +85,10 @@ def _make_certificate(e, q, functional, x0=None):
         vertex = np.linalg.norm(geometry.all_plus_vertex(p) - x0) / np.linalg.norm(x0)
         residuals["vertex"] = float(vertex)
     if functional == "edge_length" or e.n == 2:
-        g = functionals.diag_quadratic(q.U, _unit_trace(e.A))
+        g = functionals.diag_quadratic(q.U, e.unit_trace()[0])
         residuals["cauchy_schwarz"] = float(np.linalg.norm(g - q.lam * q.lam / 4.0))
     else:
-        t = float(np.trace(e.C)) / e.n
+        t = e.tr_C / e.n
         d = functionals.diag_quadratic(q.U, e.C)
         residuals["uniform_lambda"] = float(np.max(np.abs(q.lam * math.sqrt(e.n) / 2.0 - 1.0)))
         residuals["diagonal_equalization"] = float(np.max(np.abs(d - t)) / t)
@@ -135,7 +129,7 @@ def vertex_lambdas(u, y0):
     y0 = linalg.unit_vector(y0)
     z = u.T @ y0
     small = float(np.min(np.abs(z)))
-    if small < DEGENERATE_TOL:
+    if not small >= DEGENERATE_TOL:
         raise DegenerateVertex(
             f"frame has an edge direction orthogonal to the vertex (|z|_min = {small:.1e})"
         )
@@ -147,7 +141,7 @@ def _pinned_vertex(e, x0, functional, tol):
     """The edge-bound maximizer through x0, certified for functional (the
     two coincide at n = 2, where S = L)."""
     vc = VertexConstraint.from_point(e, x0)
-    n_mat = _unit_trace(e.A) - np.outer(vc.y0, vc.y0)
+    n_mat = e.unit_trace()[0] - np.outer(vc.y0, vc.y0)
     v = equalizer.equalize_diagonal(n_mat, tol=tol).V
     q = geometry.SphereOrthotope(*vertex_lambdas(v, vc.y0))
     return q, _make_certificate(e, q, functional, vc.x0)

@@ -101,16 +101,15 @@ def facet_area_total_factored(e, q):
 
 def bound_L_max(e):
     """Sharp upper bound 2^n sqrt(tr A) for the total edge length; tr A is formed
-    scaled, so the bound is finite wherever float64 holds it."""
-    a, k = linalg.even_pow2_scaled(e.A)
-    return 2.0**e.n * math.ldexp(math.sqrt(np.trace(a)), k)
+    scaled (Ellipsoid.unit_trace), so the bound is finite wherever float64 holds it."""
+    _, t, k = e.unit_trace()
+    return 2.0**e.n * math.ldexp(math.sqrt(t), k)
 
 
 def bound_S_max(e):
     """Sharp upper bound 2^n n^(-(n-2)/2) sqrt(det A) sqrt(tr A^-1)."""
     n = e.n
-    tr_c = float(np.sum(1.0 / e.eigenvalues))
-    log_s = n * math.log(2.0) - 0.5 * (n - 2) * math.log(n) + 0.5 * (e.log_det + math.log(tr_c))
+    log_s = n * math.log(2.0) - 0.5 * (n - 2) * math.log(n) + 0.5 * (e.log_det + math.log(e.tr_C))
     return exp_in_range(log_s, "S_max")
 
 

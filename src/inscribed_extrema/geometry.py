@@ -25,9 +25,9 @@ SIGMA_REL_FLOOR = 1e-12
 
 
 class Ellipsoid:
-    """SPD matrix A with its eigenpairs, square root B, inverse C and log det A
-    (the one determinant of A: det(10^k A) = 10^(nk) det A leaves float64
-    early), all from linalg.spd_matrix's one eigendecomposition of A."""
+    """SPD matrix A with its eigenpairs, square root B, inverse C, tr C and log det A
+    (the one determinant of A: det(10^k A) = 10^(nk) det A leaves float64 early),
+    all from linalg.spd_matrix's one eigendecomposition of A; B^-1 is eigen_coordinates."""
 
     def __init__(self, a):
         self.A, w, q = linalg.spd_matrix(a)
@@ -35,14 +35,21 @@ class Ellipsoid:
         self.eigenvalues = w
         self.eigenvectors = q
         self.log_det = float(np.sum(np.log(w)))
+        self.tr_C = float(np.sum(1.0 / w))
         self.B = linalg.sym_matrix((q * np.sqrt(w)) @ q.T)
-        self.Binv = linalg.sym_matrix((q / np.sqrt(w)) @ q.T)
         self.C = linalg.sym_matrix((q / w) @ q.T)
 
     def eigen_coordinates(self, x):
-        """z = Q^T x / sqrt(w), so x^T C x = z^T z and B^-1 x = Q z without the
-        eps * cond error that the entries of C and Binv carry."""
-        return self.eigenvectors.T @ np.asarray(x, dtype=float).ravel() / np.sqrt(self.eigenvalues)
+        """Z = Q^T X / sqrt(w) for a point x or the columns of a matrix X, so
+        x^T C x = z^T z and B^-1 X = Q Z without the eps * cond error of C's entries."""
+        return ((self.eigenvectors.T @ np.asarray(x, dtype=float)).T / np.sqrt(self.eigenvalues)).T
+
+    def unit_trace(self):
+        """(A / tr A, t, k) with tr A = t 4^k, k from linalg.even_pow2_scaled: the one formula
+        of tr A, formed where it cannot overflow and bit for bit np.trace(A) where it does not."""
+        a, k = linalg.even_pow2_scaled(self.A)
+        t = float(np.trace(a))
+        return a / t, t, k
 
     def boundary_residual(self, x):
         """|x^T C x - 1| for a single point, formed as |z^T z - 1|."""
@@ -66,10 +73,10 @@ class SphereOrthotope:
         self.lam = np.asarray(lam, dtype=float).ravel()
         if self.lam.size != self.U.shape[0]:
             raise DimensionMismatch("lambda length must match frame dimension")
-        if np.any(self.lam <= 0.0):
+        if not np.all(self.lam > 0.0):  # written so that NaN fails it
             raise DegenerateParallelepiped("all edge lengths must be positive")
         s = float(np.sum(self.lam**2))
-        if abs(s - 4.0) > LAMBDA_SUM_TOL:
+        if not abs(s - 4.0) <= LAMBDA_SUM_TOL:
             raise NotInscribed(f"sum(lambda^2) = {s!r}, expected 4")
         self.n = self.lam.size
 
@@ -126,8 +133,8 @@ def is_inscribed(e, p, tol=DEFAULT_TOLERANCES.inscribed_tol):
         raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
     if e.n != p.n:
         raise DimensionMismatch("ellipsoid and parallelepiped dimensions differ")
-    w = e.Binv @ p.V
-    g = w.T @ w
+    z = e.eigen_coordinates(p.V)  # W = B^-1 V = Q Z, so G = W^T W = Z^T Z
+    g = z.T @ z
     off = np.abs(g)
     np.fill_diagonal(off, 0.0)
     worst = abs(float(np.trace(g)) / 4.0 - 1.0) + float(off.sum()) / 4.0
@@ -151,9 +158,9 @@ def parallelepiped_to_orthotope(e, p):
     """
     if e.n != p.n:
         raise DimensionMismatch("ellipsoid and parallelepiped dimensions differ")
-    w = e.Binv @ p.V
-    lam = np.linalg.norm(w, axis=0)
+    z = e.eigen_coordinates(p.V)  # W = Q Z
+    lam = np.linalg.norm(z, axis=0)
     try:
-        return SphereOrthotope(w / lam, lam)
+        return SphereOrthotope(e.eigenvectors @ (z / lam), lam)
     except DimensionMismatch as exc:  # the frame is square and matches lambda: not orthogonal
         raise NotOrthotope(f"edge directions not orthogonal: {exc}") from None

@@ -56,7 +56,7 @@ def spd_matrix(a):
 def require_orthogonal(u):
     u = as_square(u)
     d = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
-    if d > ORTHO_TOL:
+    if not d <= ORTHO_TOL:  # NaN fails it too
         raise DimensionMismatch(f"U is not orthogonal (defect {d:.3e} > {ORTHO_TOL:.1e})")
     return u
 
@@ -64,7 +64,7 @@ def require_orthogonal(u):
 def unit_vector(y):
     y = np.asarray(y, dtype=float).ravel()
     nrm = float(np.linalg.norm(y))
-    if abs(nrm - 1.0) > ORTHO_TOL:
+    if not abs(nrm - 1.0) <= ORTHO_TOL:
         raise DimensionMismatch(f"vector norm {nrm} is not 1 within {ORTHO_TOL:.1e}")
     return y
 

@@ -23,6 +23,7 @@ from .constructors import DEGENERATE_TOL, VertexConstraint, vertex_lambdas
 from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput, NotConverged
 
 CHUNK = 1024
+EXPLORER_RESTARTS = 8  # the explorer's default budget, in units of equalizer.STEPS_PER_START
 
 
 @dataclass
@@ -196,7 +197,7 @@ def random_search_vertex(
     return _search(e, functional, trials, seed, bound_slack, keep_trace, False, rule, config)
 
 
-def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
+def explore_restricted_schur_horn(a, y0, target, restarts=EXPLORER_RESTARTS, seed=0):
     """Minimize the restricted diagonal-prescription residual over frames.
 
     target="edge_length": ||diag(U^T A U) - tr(A) z@z||_2 with z = U^T y0
@@ -210,9 +211,9 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
     restarts * STEPS_PER_START solver steps and the seed as its start
     stream. At n = 3 that is the proven closed-form floor, and at n = 2 the
     stabilizer is trivial, so U = U0. Elsewhere it reports the best residual
-    found; no optimality claim. Both targets are solved on their
-    matrix over its trace, and the residual is multiplied back by that
-    trace, so no scale of A overflows or underflows it.
+    found; no optimality claim. Both targets are solved on their matrix
+    over its trace (Ellipsoid.unit_trace for A), and the residual is multiplied
+    back by that trace, so no scale of A overflows or underflows it.
     """
     n = linalg.as_square(a).shape[0]
     if n < 2:
@@ -226,14 +227,14 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
     if y0.size != n:
         raise DimensionMismatch("y0 dimension does not match the matrix")
     if target == "edge_length":
-        scale = float(np.trace(e.A))
-        m = e.A / scale - np.outer(y0, y0)
+        unit, scale, k = e.unit_trace()  # tr A = scale 4^k
+        m = unit - np.outer(y0, y0)
         u = equalizer.equalize_diagonal(m).V
         residual = float(np.linalg.norm(functionals.diag_quadratic(u, m)))
     elif target == "facet_area":
         u0 = equalizer.barycentric_basis(y0)
         m = linalg.sym_matrix(u0.T @ e.C @ u0)
-        scale = float(np.trace(m))
+        scale, k = float(np.trace(m)), 0
         m = m / scale
         if n == 2:
             u, residual = u0, float(np.linalg.norm(np.diag(m) - np.trace(m) / 2))
@@ -247,4 +248,4 @@ def explore_restricted_schur_horn(a, y0, target, restarts=8, seed=0):
             u, residual = u0 @ rep.V, math.sqrt(rep.final_variance)
     else:
         raise ValueError(f"unknown target {target!r}")
-    return RshReport(residual=residual * scale, U=u, target=target, restarts=restarts)
+    return RshReport(math.ldexp(residual * scale, 2 * k), u, target, restarts)

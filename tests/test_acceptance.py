@@ -7,11 +7,14 @@ infeasible inputs in dimensions 3 and 5, documented in the README. The
 failures here are the honest record of that, not a bug in the tests.
 """
 
+import functools
 import math
 import time
 
 import numpy as np
 from conftest import record_criterion
+from draws import random_orthotope, random_row_constant
+from draws import random_spd as draw_spd
 from lemmas import beta_product_sum, maclaurin_gap, phi, phi_max
 
 from inscribed_extrema import (
@@ -19,7 +22,6 @@ from inscribed_extrema import (
     NotConverged,
     NotOrthotope,
     Parallelepiped,
-    SphereOrthotope,
     all_plus_vertex,
     bound_L_max,
     bound_S_max,
@@ -33,34 +35,11 @@ from inscribed_extrema import (
     is_inscribed,
     orthotope_to_parallelepiped,
     parallelepiped_to_orthotope,
-    random_orthogonal,
     random_search_global,
 )
 
 SEED_BASE = 1000  # fixed before any acceptance runs; substreams are (SEED_BASE + k, n)
-
-
-def random_spd(n, rng, lo=0.2, hi=5.0):
-    q = random_orthogonal(n, rng)
-    ev = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    return (q * ev) @ q.T
-
-
-def random_row_constant(n, rng):
-    # orthogonal completion of the ones column, then a random spectrum on it
-    g = rng.normal(size=(n, n))
-    g[:, 0] = 1.0
-    q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    d = rng.normal(size=n) * 3.0
-    return (q * d) @ q.T
-
-
-def random_orthotope(n, rng, floor=0.0):
-    u = random_orthogonal(n, rng)
-    lam = np.abs(rng.normal(size=n)) + floor
-    lam *= 2.0 / np.linalg.norm(lam)
-    return SphereOrthotope(u, lam)
+random_spd = functools.partial(draw_spd, lo=0.2, hi=5.0)
 
 
 def test_criterion_1_closed_form_bounds():
@@ -260,7 +239,7 @@ def test_criterion_8_route_equivalence():
         rng = np.random.default_rng((SEED_BASE + 8, n))
         for _ in range(200):
             e = Ellipsoid(random_spd(n, rng))
-            q = random_orthotope(n, rng)
+            q = random_orthotope(n, rng, floor=0.0)
             p = orthotope_to_parallelepiped(e, q)
             s1 = facet_area_total_gram(p).value
             s2 = facet_area_total_factored(e, q).value

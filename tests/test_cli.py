@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -7,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from inscribed_extrema import Ellipsoid, cli
+from draws import random_spd
+from inscribed_extrema import Ellipsoid, cli, explore_restricted_schur_horn, oracle
 from orbit import grid_floor, psi as orbit_psi
 
 SQRT14_L = 29.93325909419153
@@ -62,6 +64,43 @@ def test_bounds_det_a_out_of_range_is_null(tmp_path, capsys):
     assert res["det_A"] is None
     assert abs(res["log_det_A"] - (math.log(6.0) - 651.0 * math.log(10.0))) < 1e-9
     assert res["tr_A"] == pytest.approx(6e-217, rel=1e-12)
+
+
+def test_bounds_and_edge_explorer_where_tr_a_overflows(tmp_path, capsys):
+    # tr A = 2e308 leaves float64, L_max = S_max = 4 sqrt(2e308) does not
+    m = write_matrix(tmp_path, "a.json", np.diag([1e308, 1e308]).tolist())
+    code, out, err = run_cli(capsys, ["bounds", "--matrix", m])
+    assert (code, err) == (0, "")
+    res = json.loads(out)["result"]
+    assert res["tr_A"] is None
+    assert res["L_max"] == pytest.approx(4.0 * math.sqrt(2.0) * math.sqrt(1e308), rel=1e-15)
+    assert res["S_max"] == pytest.approx(res["L_max"], rel=1e-12)  # S_max is formed in logs
+    v = write_vector(tmp_path, "y0.json", [0.6, 0.8])
+    code, out, err = run_cli(
+        capsys, ["explore-rsh", "--matrix", m, "--vertex", v, "--functional", "edge"]
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["residual"] <= 2e-15 * 1e308  # relative to tr A = 2e308
+
+
+def test_bounds_tr_a_is_the_plain_trace_where_it_fits(tmp_path, capsys):
+    # tr A is formed on A scaled by a power of four, which keeps every bit in range
+    rng = np.random.default_rng(11)
+    for k in range(-300, 301, 25):
+        a = 10.0**k * random_spd(int(rng.integers(2, 4)), rng, lo=1e-3, hi=1e3)
+        m = write_matrix(tmp_path, "a.json", (0.5 * a + 0.5 * a.T).tolist())
+        code, out, _ = run_cli(capsys, ["bounds", "--matrix", m])
+        assert code == 0, k
+        doc = json.loads(out)
+        assert doc["result"]["tr_A"] == float(np.trace(0.5 * a + 0.5 * a.T)), k
+
+
+def test_explorer_restarts_default_has_one_source():
+    args = cli.build_parser().parse_args(
+        ["explore-rsh", "--matrix", "a.json", "--vertex", "y.json", "--functional", "facet"]
+    )
+    default = inspect.signature(explore_restricted_schur_horn).parameters["restarts"].default
+    assert args.restarts == default == oracle.EXPLORER_RESTARTS
 
 
 def test_construct_then_verify_round_trip(tmp_path, capsys):

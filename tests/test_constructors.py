@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from draws import random_spd
 from numpy.testing import assert_allclose
 
 from inscribed_extrema import (
@@ -33,12 +34,6 @@ from orbit import grid_floor, psi as orbit_psi
 VERTEX_TOL = 1e-9
 
 SQRT6_L = 19.595917942265423   # 8 sqrt(6), edge bound of diag(1,2,3)
-
-
-def random_spd(n, rng, lo=0.1, hi=10.0):
-    q = random_orthogonal(n, rng)
-    ev = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    return (q * ev) @ q.T
 
 
 def spd_with_known_axis(n, rng):
@@ -175,6 +170,11 @@ def test_vertex_constraint_validates_boundary():
     e = Ellipsoid(np.diag([1.0, 4.0]))
     with pytest.raises(NotOnBoundary):
         VertexConstraint.from_point(e, np.array([5.0, 5.0]))
+    # |x0^T C x0 - 1| is NaN at a NaN point, and the gate must not let it through
+    e3 = Ellipsoid(np.diag([1.0, 4.0, 9.0]))
+    for functional in ("edge_length", "facet_area"):
+        with pytest.raises(NotOnBoundary):
+            construct_through_vertex(e3, [np.nan, 0.0, 0.0], functional=functional)
 
 
 def test_vertex_constraint_accepts_computed_points_on_ill_conditioned_ellipses():

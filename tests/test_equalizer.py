@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from draws import random_row_constant
 from numpy.testing import assert_allclose
 
 from inscribed_extrema import (
@@ -30,16 +31,6 @@ ONES_TOL = 1e-12
 def random_symmetric(n, rng, scale=1.0):
     g = rng.normal(size=(n, n)) * scale
     return (g + g.T) / 2.0
-
-
-def random_row_constant(n, rng, scale=3.0):
-    # orthogonal completion of the ones direction, then a random spectrum
-    g = rng.normal(size=(n, n))
-    g[:, 0] = 1.0
-    q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-    d = rng.normal(size=n) * scale
-    return (q * d) @ q.T
 
 
 # ---------------------------------------------------------------- pinning

@@ -93,8 +93,7 @@ def _two_decomposition_ellipsoid(a):
 
     return {
         "A": s, "eigenvalues": w, "eigenvectors": q, "log_det": float(np.sum(np.log(w))),
-        "B": sym((q * np.sqrt(w)) @ q.T), "Binv": sym((q / np.sqrt(w)) @ q.T),
-        "C": sym((q / w) @ q.T),
+        "tr_C": float(np.sum(1.0 / w)), "B": sym((q * np.sqrt(w)) @ q.T), "C": sym((q / w) @ q.T),
     }
 
 

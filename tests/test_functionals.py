@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from draws import random_orthotope, random_spd
 from lemmas import (
     ConstraintViolated,
     beta_product_sum,
@@ -8,7 +9,6 @@ from lemmas import (
     phi_max,
     planar_identity_check,
 )
-from numpy.testing import assert_allclose
 
 from inscribed_extrema import (
     Ellipsoid,
@@ -29,19 +29,6 @@ from inscribed_extrema import (
 # closed forms for diag(1,4,9): L bound 8*sqrt(14), S bound 56/sqrt(3)
 L_149 = 29.93325909419153
 S_149 = 32.331615074619044
-
-
-def random_spd(n, rng, lo=0.1, hi=10.0):
-    q = random_orthogonal(n, rng)
-    ev = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    return (q * ev) @ q.T
-
-
-def random_orthotope(n, rng):
-    u = random_orthogonal(n, rng)
-    lam = rng.uniform(0.3, 1.5, size=n)
-    lam *= 2.0 / np.linalg.norm(lam)
-    return SphereOrthotope(u, lam)
 
 
 def test_bounds_on_reference_ellipsoid():

@@ -6,13 +6,16 @@ from numpy.testing import assert_allclose
 
 from inscribed_extrema import (
     DegenerateParallelepiped,
+    DimensionMismatch,
     Ellipsoid,
+    InscribedExtremaError,
     NotInscribed,
     NotOrthotope,
     NotPositiveDefinite,
     Parallelepiped,
     SphereOrthotope,
     all_plus_vertex,
+    construct_L_max,
     construct_S_max,
     is_inscribed,
     orthotope_to_parallelepiped,
@@ -20,20 +23,8 @@ from inscribed_extrema import (
     random_orthogonal,
 )
 
+from draws import random_orthotope, random_spd
 from enumeration import sign_vectors, vertices
-
-
-def random_spd(n, rng, lo=0.1, hi=10.0):
-    q = random_orthogonal(n, rng)
-    ev = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    return (q * ev) @ q.T
-
-
-def random_orthotope(n, rng):
-    u = random_orthogonal(n, rng)
-    lam = rng.uniform(0.3, 1.5, size=n)
-    lam *= 2.0 / np.linalg.norm(lam)
-    return SphereOrthotope(u, lam)
 
 
 def test_ellipsoid_rejects_non_spd():
@@ -46,7 +37,10 @@ def test_ellipsoid_caches_consistent_decompositions():
     a = random_spd(4, rng)
     e = Ellipsoid(a)
     assert_allclose(e.B @ e.B, a, atol=1e-12)
-    assert_allclose(e.B @ e.Binv, np.eye(4), atol=1e-12)
+    # B^-1 is applied in the eigenbasis: B^-1 X = Q eigen_coordinates(X), for a point or columns
+    x = rng.standard_normal((4, 3))
+    assert_allclose(e.eigenvectors @ e.eigen_coordinates(e.B @ x), x, atol=1e-12)
+    assert_allclose(e.eigenvectors @ e.eigen_coordinates(e.B @ x[:, 0]), x[:, 0], atol=1e-12)
     assert_allclose(a @ e.C, np.eye(4), atol=1e-11)
 
 
@@ -66,6 +60,11 @@ def test_orthotope_validation():
     # off the sphere inscription budget
     with pytest.raises(NotInscribed):
         SphereOrthotope(u, np.array([1.0, 1.0, 1.0]))
+    # a NaN entry, which a `value > tol` gate would let through
+    with pytest.raises(DimensionMismatch):
+        SphereOrthotope(np.diag([np.nan, 1.0, 1.0]), np.full(3, 2.0 / np.sqrt(3.0)))
+    with pytest.raises(DegenerateParallelepiped):
+        SphereOrthotope(u, np.array([np.nan, 1.0, 1.0]))
 
 
 def test_sign_vectors_order_and_count():
@@ -200,3 +199,48 @@ def test_parallelepiped_dict_round_trip():
     p = orthotope_to_parallelepiped(e, random_orthotope(3, rng))
     p2 = Parallelepiped.from_dict(p.to_dict())
     assert_allclose(p2.V, p.V)
+
+
+def _longdouble_inscribed_residual(e, v):
+    """is_inscribed's bound for the ellipsoid Q diag(w) Q^T of e's eigenpairs, in longdouble."""
+    q, w = e.eigenvectors.astype(np.longdouble), e.eigenvalues.astype(np.longdouble)
+    z = (q.T @ v.astype(np.longdouble)) / np.sqrt(w)[:, None]
+    g = z.T @ z
+    off = np.abs(g)
+    np.fill_diagonal(off, 0.0)
+    return abs(np.trace(g) / 4 - 1) + off.sum() / 4
+
+
+def test_inscribed_residual_tracks_a_longdouble_reference():
+    # cond 1e10 at scales 1e-20, 1 and 1e20, n = 2..20, both global constructions.
+    # W = B^-1 V is formed in the eigenbasis; through the entries of B^-1 this set's
+    # error was 1.16e-11 at worst and 2.1e-12 in the median
+    errors = []
+    for n in range(2, 21):
+        for k in (-20, 0, 20):
+            rng = np.random.default_rng((0, n, k + 20))
+            q = random_orthogonal(n, rng)
+            e = Ellipsoid(10.0**k * (q * np.geomspace(1.0, 1e10, n)) @ q.T)
+            for build in (construct_L_max, construct_S_max):
+                _, cert = build(e)
+                ref = _longdouble_inscribed_residual(e, cert.parallelepiped.V)
+                errors.append(float(abs(np.longdouble(cert.equality_residuals["inscribed"]) - ref)))
+    assert max(errors) < 1.1e-11
+    assert np.median(errors) < 1e-13
+
+
+def test_reverse_reduction_round_trips_at_cond_1e11():
+    # 80 global constructions, n = 2..10: reading W = B^-1 V through the entries
+    # of B^-1 raised on 6 of them (sum lambda^2 off 4 by about 1e-10)
+    raised = 0
+    for i in range(40):
+        n = 2 + i % 9
+        rng = np.random.default_rng((3, i))
+        q = random_orthogonal(n, rng)
+        e = Ellipsoid((q * np.logspace(0.0, 11.0, n)) @ q.T)
+        for build in (construct_L_max, construct_S_max):
+            try:
+                parallelepiped_to_orthotope(e, build(e)[1].parallelepiped)
+            except InscribedExtremaError:
+                raised += 1
+    assert raised <= 1

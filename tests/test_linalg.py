@@ -85,6 +85,8 @@ def test_require_orthogonal_raises():
     m[0, 1] = 1e-6
     with pytest.raises(DimensionMismatch):
         linalg.require_orthogonal(m)
+    with pytest.raises(DimensionMismatch):  # a NaN comparison is False: the gate must fail on it
+        linalg.require_orthogonal(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_unit_vector_validates_norm():
@@ -92,6 +94,8 @@ def test_unit_vector_validates_norm():
     assert abs(np.linalg.norm(v) - 1.0) < 1e-15
     with pytest.raises(DimensionMismatch):
         linalg.unit_vector(np.array([3.0, 4.0]))
+    with pytest.raises(DimensionMismatch):
+        linalg.unit_vector([np.nan, 0.0, 0.0])
 
 
 def test_sym_matrix_symmetrizes():

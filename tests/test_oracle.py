@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from draws import random_spd as draw_spd
 from numpy.testing import assert_allclose
 
 from inscribed_extrema import (
@@ -12,13 +14,13 @@ from inscribed_extrema import (
     Ellipsoid,
     NonPositiveInput,
     NotConverged,
+    NotOnBoundary,
     edge_length_total,
     equalize_diagonal_barycentric,
     explore_restricted_schur_horn,
     facet_area_total_factored,
     householder_to,
     orthotope_to_parallelepiped,
-    random_orthogonal,
     random_search_global,
     random_search_vertex,
 )
@@ -29,12 +31,7 @@ from inscribed_extrema.linalg import sym_matrix
 from orbit import grid_floor
 
 N3_ORBIT_FLOOR = 0.30618621784789724  # sqrt(2/3) * (3/8), the invariant-orbit residual below
-
-
-def random_spd(n, rng, lo=0.2, hi=5.0):
-    q = random_orthogonal(n, rng)
-    ev = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    return (q * ev) @ q.T
+random_spd = functools.partial(draw_spd, lo=0.2, hi=5.0)
 
 
 def test_search_rejects_zero_trials():
@@ -266,6 +263,12 @@ def test_vertex_search_respects_vertex():
     from inscribed_extrema import all_plus_vertex
 
     assert np.linalg.norm(all_plus_vertex(p) - x0) < 1e-9
+
+
+def test_vertex_search_refuses_a_nan_vertex():
+    # before, every trial was skipped and best_value came back -inf
+    with pytest.raises(NotOnBoundary):
+        random_search_vertex(Ellipsoid.ball(3), [np.nan, 0.0, 0.0], "facet_area", 10, seed=0)
 
 
 def test_vertex_search_beats_nothing_above_global_bound():

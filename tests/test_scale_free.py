@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from draws import random_spd
 
 from inscribed_extrema import cli
 from inscribed_extrema import (
@@ -28,12 +29,6 @@ from inscribed_extrema.functionals import measure
 
 REL = 1e-12
 LOG10 = math.log(10.0)
-
-
-def random_spd(n, rng, lo=0.1, hi=10.0):
-    q = random_orthogonal(n, rng)
-    ev = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    return (q * ev) @ q.T
 
 
 def values(e):
