@@ -24,7 +24,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOLERANCES, valid_tolerance
+from .config import DEFAULT_TOLERANCES, check_count, check_tolerance
 from .constructors import (
     construct_L_max,
     construct_S_max,
@@ -160,14 +160,8 @@ def _emit(args, result, error):
 
 
 def _seed(args):
-    """The run's seed, 0 when omitted; CI mode refuses to default it."""
-    if args.seed is not None:
-        if args.seed < 0:
-            raise CliError("--seed must be >= 0")
-        return args.seed
-    if os.environ.get("INSCRIBED_EXTREMA_CI") == "1":
-        raise CliError("--seed is required in CI mode (INSCRIBED_EXTREMA_CI=1)")
-    return 0
+    """The run's seed, 0 when omitted."""
+    return 0 if args.seed is None else check_count(args.seed, "--seed")
 
 
 def _refused(exc, result):
@@ -236,8 +230,7 @@ def _cmd_verify(args):
 
 def _cmd_search(args):
     seed = _seed(args)
-    if args.trials < 1:
-        raise CliError("--trials must be at least 1")
+    check_count(args.trials, "--trials", least=1)
     e = Ellipsoid(_load_matrix(args))
     functional = FUNCTIONAL_NAMES[args.functional]
     keep_trace = args.csv_trace is not None
@@ -354,8 +347,7 @@ def main(argv=None):
     args.input_sha256 = {}  # filled by _read_json, one digest per input file read
     try:
         for flag, key in TOLERANCE_FLAGS.items():
-            if not valid_tolerance(getattr(args, key, 0.0)):
-                raise CliError(f"{flag} must be a finite number >= 0")
+            check_tolerance(getattr(args, key, 0.0), flag)
         code, result, error = args.run(args)
         _emit(args, result, error)
         return code

@@ -1,6 +1,10 @@
-"""Defaults of the tolerances a caller can set; each is also a CLI flag."""
+"""Defaults of the tolerances a caller can set, each also a CLI flag, and the two checks of a
+caller's numbers: check_count for seeds and step budgets, check_tolerance for tolerances."""
 
+import numbers
 from dataclasses import dataclass
+
+from .errors import NonPositiveInput
 
 
 @dataclass(frozen=True)
@@ -23,7 +27,18 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
-def valid_tolerance(value):
-    """Whether value can serve as a tolerance: a finite number >= 0. The library
-    and the CLI both ask this; a negative one would square to a loose threshold."""
-    return 0.0 <= value < float("inf")
+def check_count(value, name, least=0):
+    """value as an int if it is a Python or numpy integer >= least, else NonPositiveInput.
+    A float is refused even when whole: int() would truncate 2.7 to 2 and fail on NaN."""
+    if not isinstance(value, numbers.Integral):
+        raise NonPositiveInput(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise NonPositiveInput(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_tolerance(value, name):
+    """NonPositiveInput unless value can serve as a tolerance, a finite number >= 0;
+    a negative one would square to a loose threshold in the equalizers."""
+    if not 0.0 <= value < float("inf"):  # written so that NaN fails it
+        raise NonPositiveInput(f"{name} must be a finite number >= 0")

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import equalizer, functionals, geometry, linalg
-from .config import DEFAULT_TOLERANCES, valid_tolerance
+from .config import DEFAULT_TOLERANCES, check_count
 from .errors import (
     DegenerateVertex,
     DimensionMismatch,
-    NonPositiveInput,
     NotOnBoundary,
     WrongDimension,
 )
@@ -169,10 +168,7 @@ def construct_vertex_eigen_S(e, x0, tol=DEFAULT_TOLERANCES.equalizer_tol, seed=0
     NotConverged propagates with the best frame, its variances in units of
     (tr M)^2. At n = 2, where S = L, it is the edge-length route at tol.
     """
-    if not valid_tolerance(tol):
-        raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
-    if seed < 0:
-        raise NonPositiveInput("seed must be >= 0")
+    check_count(seed, "seed")
     if e.n == 2:
         return _pinned_vertex(e, x0, "facet_area", tol)
     vc = VertexConstraint.from_point(e, x0)
@@ -210,8 +206,7 @@ def construct_through_vertex(
     both take any boundary point of any dimension."""
     if functional not in ("edge_length", "facet_area"):
         raise ValueError(f"unknown functional {functional!r}")
-    if seed < 0:
-        raise NonPositiveInput("seed must be >= 0")
+    check_count(seed, "seed")
     if functional == "edge_length":
         return construct_vertex_eigen_L(e, x0, tol=tol)
     return construct_vertex_eigen_S(e, x0, tol=tol, seed=seed)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOLERANCES, valid_tolerance
-from .errors import DimensionTooSmall, NonPositiveInput, NotConverged, OutOfRange
+from .config import DEFAULT_TOLERANCES, check_count, check_tolerance
+from .errors import DimensionTooSmall, NotConverged, OutOfRange
 
 # Gauss-Newton needs a handful of steps near a regular root; a start that
 # has not converged in STEPS_PER_START is crawling and gives way to the next
@@ -102,9 +102,8 @@ def equalize_diagonal(m, tol=DEFAULT_TOLERANCES.equalizer_tol):
     when the active entries tie: each is then the mean up to rounding, and
     the argmax and argmin pair would be one index, no rotation.
     """
-    if not valid_tolerance(tol):
-        raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
-    m = linalg.sym_matrix(m)
+    check_tolerance(tol, "tol")
+    m = linalg.require_finite(linalg.sym_matrix(m), OutOfRange)
     n = m.shape[0]
     t = float(np.trace(m)) / n
     scale = float(np.max(np.abs(m))) or 1.0
@@ -237,20 +236,16 @@ def equalize_diagonal_barycentric(m, tol=DEFAULT_TOLERANCES.equalizer_tol, max_i
     NotConverged carries the best report when psi stays above the threshold
     (at n = 3 a proven floor); OutOfRange means psi or the threshold leaves float64.
     """
-    if not valid_tolerance(tol):
-        raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
-    m = linalg.sym_matrix(m)
+    check_tolerance(tol, "tol")
+    m = linalg.require_finite(linalg.sym_matrix(m), OutOfRange)
     n = m.shape[0]
     if n <= 2:
         raise DimensionTooSmall(
             "barycentric equalization requires n >= 3: the stabilizer of the "
             "ones vector is trivial on 2x2 diagonals"
         )
-    max_iter = 500 * n * n if max_iter is None else max_iter
-    if max_iter < 0:
-        raise NonPositiveInput(f"max_iter must be >= 0, got {max_iter!r}")
-    if seed < 0:
-        raise NonPositiveInput("seed must be >= 0")
+    max_iter = 500 * n * n if max_iter is None else check_count(max_iter, "max_iter")
+    check_count(seed, "seed")
     t, h, eye = float(np.trace(m)) / n, ones_frame(n), np.eye(n)
     q, base = h[:, 1:], eye
     scale = float(np.max(np.abs(m))) if n == 3 else 1.0 + abs(t)

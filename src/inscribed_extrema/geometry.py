@@ -11,11 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOLERANCES, valid_tolerance
+from .config import DEFAULT_TOLERANCES, check_tolerance
 from .errors import (
     DegenerateParallelepiped,
     DimensionMismatch,
-    NonPositiveInput,
     NotInscribed,
     NotOrthotope,
 )
@@ -90,7 +89,7 @@ class Parallelepiped:
     unlike |det V| / ||V||^n neither scale nor n moves."""
 
     def __init__(self, v):
-        self.V = linalg.as_square(np.asarray(v, dtype=float))
+        self.V = linalg.require_finite(linalg.as_square(v), DegenerateParallelepiped)
         self.n = self.V.shape[0]
         _, self.sigma, self.Wt = np.linalg.svd(self.V)
         if not self.sigma[-1] > SIGMA_REL_FLOOR * self.sigma[0]:
@@ -129,8 +128,7 @@ def is_inscribed(e, p, tol=DEFAULT_TOLERANCES.inscribed_tol):
     vertex. It rounds differently from an enumeration through C, so it can
     read a few ulps below the enumerated maximum (at most 2.3e-15 seen).
     """
-    if not valid_tolerance(tol):
-        raise NonPositiveInput(f"tol must be a finite number >= 0, got {tol!r}")
+    check_tolerance(tol, "tol")
     if e.n != p.n:
         raise DimensionMismatch("ellipsoid and parallelepiped dimensions differ")
     z = e.eigen_coordinates(p.V)  # W = B^-1 V = Q Z, so G = W^T W = Z^T Z
@@ -145,7 +143,7 @@ def orthotope_to_parallelepiped(e, q):
     """Map a unit-sphere orthotope to the inscribed parallelepiped v_i = lambda_i B u_i."""
     if e.n != q.n:
         raise DimensionMismatch("ellipsoid and orthotope dimensions differ")
-    return Parallelepiped(e.B @ q.U @ np.diag(q.lam))
+    return Parallelepiped((e.B @ q.U) * q.lam)
 
 
 def parallelepiped_to_orthotope(e, p):

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveInput, NotPositiveDefinite, OutOfRange
+from .config import check_count
+from .errors import DimensionMismatch, NotPositiveDefinite, OutOfRange
 
 # max |U^T U - I| entry for a frame to count as orthonormal; also |norm(y) - 1| for a unit vector
 ORTHO_TOL = 1e-10
@@ -61,6 +62,13 @@ def require_orthogonal(u):
     return u
 
 
+def require_finite(a, error):
+    """a, or error (an exception type) when an entry is NaN or infinite."""
+    if not np.all(np.isfinite(a)):
+        raise error("entries must be finite numbers")
+    return a
+
+
 def unit_vector(y):
     y = np.asarray(y, dtype=float).ravel()
     nrm = float(np.linalg.norm(y))
@@ -98,10 +106,9 @@ def random_orthogonal(n, seed):
     """
     if n < 1:
         raise DimensionMismatch("n must be >= 1")
-    if not isinstance(seed, np.random.Generator) and seed < 0:
-        raise NonPositiveInput("seed must be >= 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return haar_from_gaussian(rng.standard_normal((n, n)))
+    if not isinstance(seed, np.random.Generator):
+        seed = np.random.default_rng(check_count(seed, "seed"))
+    return haar_from_gaussian(seed.standard_normal((n, n)))
 
 
 def haar_from_gaussian(g):

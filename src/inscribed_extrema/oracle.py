@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equalizer, functionals, geometry, linalg
-from .config import DEFAULT_TOLERANCES, valid_tolerance
+from .config import DEFAULT_TOLERANCES, check_count, check_tolerance
 from .constructors import DEGENERATE_TOL, VertexConstraint, vertex_lambdas
-from .errors import DimensionMismatch, DimensionTooSmall, NonPositiveInput, NotConverged
+from .errors import DimensionMismatch, DimensionTooSmall, NotConverged
 
 CHUNK = 1024
 EXPLORER_RESTARTS = 8  # the explorer's default budget, in units of equalizer.STEPS_PER_START
@@ -113,13 +113,9 @@ def _search(e, functional, trials, seed, bound_slack, keep_trace, want_lambda, r
     lengths are kept from the chunk that scored them, and config(u, lam)
     makes them the report's best_config (None if every trial was skipped).
     """
-    trials = int(trials)
-    if trials < 1:
-        raise NonPositiveInput("trials must be >= 1")
-    if seed < 0:
-        raise NonPositiveInput("seed must be >= 0")
-    if not valid_tolerance(bound_slack):
-        raise NonPositiveInput(f"bound_slack must be a finite number >= 0, got {bound_slack!r}")
+    trials = check_count(trials, "trials", least=1)
+    check_count(seed, "seed")
+    check_tolerance(bound_slack, "bound_slack")
     bound = functionals.bound(e, functional)
     limit = bound * (1.0 + bound_slack)
     best_value = -np.inf
@@ -218,10 +214,8 @@ def explore_restricted_schur_horn(a, y0, target, restarts=EXPLORER_RESTARTS, see
     n = linalg.as_square(a).shape[0]
     if n < 2:
         raise DimensionTooSmall("the explorer needs n >= 2")
-    if restarts < 0:
-        raise NonPositiveInput("restarts must be >= 0")
-    if seed < 0:
-        raise NonPositiveInput("seed must be >= 0")
+    check_count(restarts, "restarts")
+    check_count(seed, "seed")
     e = geometry.Ellipsoid(a)
     y0 = linalg.unit_vector(y0)
     if y0.size != n:

@@ -450,21 +450,6 @@ def test_equalize_barycentric_non_row_constant_runs_solver(tmp_path, capsys):
     assert res["final_variance"] < orbit_psi(a, np.eye(3))
 
 
-def test_ci_mode_requires_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("INSCRIBED_EXTREMA_CI", "1")
-    m = write_matrix(tmp_path, "a.json", [[1.0, 0.0], [0.0, 1.0]])
-    code, _, err = run_cli(
-        capsys, ["search", "--matrix", m, "--functional", "edge", "--trials", "10"]
-    )
-    assert code == 1
-    assert "--seed is required" in err
-    code, out, _ = run_cli(
-        capsys, ["search", "--matrix", m, "--functional", "edge", "--trials", "10",
-                 "--seed", "2"]
-    )
-    assert code == 0
-
-
 def test_explore_rsh_edge_solvable(tmp_path, capsys):
     m = write_matrix(tmp_path, "a.json", np.diag([1.0, 2.0, 3.0]).tolist())
     v = write_vector(tmp_path, "y0.json", [0.0, 0.0, 1.0])

@@ -277,6 +277,17 @@ def test_barycentric_overflow_raises_out_of_range():
         equalize_diagonal_barycentric(near, tol=np.float64(1e-9))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("equalize", [equalize_diagonal, equalize_diagonal_barycentric])
+def test_equalizers_refuse_non_finite_matrix(equalize, bad):
+    # the pinning pass returned final_variance nan after RuntimeWarnings, and
+    # the barycentric one blamed a "threshold nan^2"
+    m = np.diag([1.0, 2.0, 3.0, 4.0])
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(OutOfRange, match="entries must be finite"):
+        equalize(m)
+
+
 @pytest.mark.parametrize("n", [4, 6, 7, 8])
 def test_barycentric_converges_on_feasible_dimensions(n):
     rng = np.random.default_rng(300 + n)

@@ -193,6 +193,13 @@ def test_parallelepiped_rejects_singular_edges():
         Parallelepiped(v)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_parallelepiped_rejects_non_finite_edges(bad):
+    # a NaN edge escaped as numpy's LinAlgError from the SVD
+    with pytest.raises(DegenerateParallelepiped, match="entries must be finite"):
+        Parallelepiped(np.diag([1.0, bad]))
+
+
 def test_parallelepiped_dict_round_trip():
     rng = np.random.default_rng(9)
     e = Ellipsoid(random_spd(3, rng))

@@ -2,7 +2,8 @@
 flag or a caller in the package sets it, and it defaults to the
 DEFAULT_TOLERANCES field of the same meaning. Fixed tolerances are module
 constants. Every such function refuses a negative, NaN or infinite value,
-and every public function that takes a seed refuses a negative one."""
+and every public function that takes a seed or a step budget (trials,
+restarts, max_iter) refuses a negative one, a fraction and NaN."""
 
 import ast
 import math
@@ -140,13 +141,14 @@ def test_library_refuses_bad_tolerance(entry, value):
         _entry_points()[entry](value)
 
 
-def _seed_parameters():
-    """Every public callable of the package that takes a seed parameter."""
+def _parameters_named(*names):
+    """(callable, parameter) for every public callable of the package whose
+    parameter is one of names."""
     found = set()
     for tree in _trees():
         for name, fn in _public_callables(tree.body):
             args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-            found |= {name for a in args if a.arg == "seed"}
+            found |= {(name, a.arg) for a in args if a.arg in names}
     return found
 
 
@@ -181,7 +183,8 @@ def _seeded_entry_points():
 
 
 def test_every_seed_taking_function_is_checked_below():
-    assert {name.split()[0] for name in _seeded_entry_points()} == _seed_parameters()
+    seeded = {name for name, _ in _parameters_named("seed")}
+    assert {name.split()[0] for name in _seeded_entry_points()} == seeded
 
 
 @pytest.mark.parametrize("entry", sorted(_seeded_entry_points()))
@@ -189,6 +192,48 @@ def test_library_refuses_negative_seed(entry):
     # default_rng(-1) raised numpy's ValueError wherever no check came first
     with pytest.raises(NonPositiveInput, match="seed must be >= 0"):
         _seeded_entry_points()[entry](-1)
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan], ids=["fraction", "nan"])
+@pytest.mark.parametrize("entry", sorted(_seeded_entry_points()))
+def test_library_refuses_non_integer_seed(entry, value):
+    # numpy's TypeError escaped where a draw came first, and the routes that
+    # draw nothing returned normally
+    with pytest.raises(NonPositiveInput, match="seed must be an integer"):
+        _seeded_entry_points()[entry](value)
+
+
+BUDGET_PARAMETERS = ("trials", "restarts", "max_iter")
+
+
+def _budget_entry_points():
+    """One call per public function that takes a step budget, with that budget b;
+    a facet target at n = 4, so the explorer's budget reaches the equalizer."""
+    m = np.diag([1.0, 4.0, 9.0, 16.0])
+    e, y0 = Ellipsoid(m), np.full(4, 0.5)
+    x0 = e.B @ y0
+    return {
+        ("random_search_global", "trials"): lambda b: random_search_global(e, "facet_area", b, 0),
+        ("random_search_vertex", "trials"):
+            lambda b: random_search_vertex(e, x0, "facet_area", b, 0),
+        ("explore_restricted_schur_horn", "restarts"):
+            lambda b: explore_restricted_schur_horn(m, y0, "facet_area", restarts=b),
+        ("equalize_diagonal_barycentric", "max_iter"):
+            lambda b: equalize_diagonal_barycentric(m, max_iter=b),
+    }
+
+
+def test_every_budget_taking_function_is_checked_below():
+    assert set(_budget_entry_points()) == _parameters_named(*BUDGET_PARAMETERS)
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, math.nan], ids=["negative", "fraction", "nan"])
+@pytest.mark.parametrize("entry", sorted(_budget_entry_points()), ids=" ".join)
+def test_library_refuses_bad_budget(entry, value):
+    # int() made trials=2.7 two trials, restarts=nan returned the identity's
+    # residual, and max_iter=2.5 ran
+    with pytest.raises(NonPositiveInput, match=f"{entry[1]} must be"):
+        _budget_entry_points()[entry](value)
 
 
 def test_planar_facet_vertex_route_applies_its_tol():
